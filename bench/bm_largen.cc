@@ -23,6 +23,8 @@
 // Emits machine-readable BENCH_largen.json:
 //   scaling[] — per-n exact/sparse fit+suggest seconds and speedup
 //   quality   — mean final best per arm, relative gap, evals-to-target
+//   peak_rss_mb — process ru_maxrss after both parts (informational;
+//                 not compared against the baseline)
 //
 // Usage: bm_largen [--max-n=N] [--grid-iterations=I] [--grid-seeds=S]
 //        CI smoke passes --max-n=500 --grid-iterations=64
@@ -37,6 +39,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench/bench_common.h"
 #include "src/common/math_util.h"
@@ -74,6 +78,13 @@ std::vector<double> DrawPoint(const SearchSpace& space, Rng* rng) {
                : rng->Uniform(dim.lo, dim.hi);
   }
   return x;
+}
+
+/// Peak resident set size of this process so far, in MB.
+double PeakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
 double SyntheticObjective(const std::vector<double>& x) {
@@ -258,6 +269,8 @@ int main(int argc, char** argv) {
               quality.relative_gap * 100.0,
               quality.sparse_evals_to_exact_best,
               quality.exact_evals_to_best);
+  double peak_rss_mb = PeakRssMb();
+  std::printf("[largen] peak RSS %.1f MB\n", peak_rss_mb);
 
   FILE* json = std::fopen("BENCH_largen.json", "w");
   if (json == nullptr) {
@@ -286,6 +299,7 @@ int main(int argc, char** argv) {
                  e.speedup, i + 1 < scaling.size() ? "," : "");
   }
   std::fprintf(json, "  ],\n");
+  std::fprintf(json, "  \"peak_rss_mb\": %.1f,\n", peak_rss_mb);
   std::fprintf(json,
                "  \"quality\": {\"exact_mean_best\": %.6f, "
                "\"sparse_mean_best\": %.6f, \"relative_gap\": %.4f, "

@@ -26,8 +26,12 @@ std::vector<double> Matrix::ApplyTransposed(const std::vector<double>& x) const 
 }
 
 void Matrix::Grow(int rows, int cols, double fill) {
-  int new_stride = std::max(cols, 2 * stride_);
-  int new_row_capacity = std::max(rows, 2 * row_capacity_);
+  // Only the dimension that overflows grows: a row append keeps the
+  // pitch and a column growth keeps the row capacity, so capacity stays
+  // within a constant factor of rows x cols.
+  int new_stride = cols > stride_ ? std::max(cols, 2 * stride_) : stride_;
+  int new_row_capacity =
+      rows > row_capacity_ ? std::max(rows, 2 * row_capacity_) : row_capacity_;
   std::vector<double> next(
       static_cast<size_t>(new_row_capacity) * new_stride, fill);
   int copy_rows = std::min(rows, rows_);

@@ -44,9 +44,10 @@ class Matrix {
     return data_.data() + static_cast<size_t>(r) * stride_;
   }
 
-  /// Raw backing storage. Rows are packed back-to-back only while the
-  /// matrix has never grown past its initial shape (stride == cols) —
-  /// true for every freshly constructed matrix.
+  /// Raw backing storage. Rows are packed back-to-back (stride ==
+  /// cols) until the column count changes — true for every freshly
+  /// constructed matrix and for one grown only by AppendRow. After a
+  /// column growth or shrink the pitch may exceed cols().
   std::vector<double>& data() { return data_; }
   const std::vector<double>& data() const { return data_; }
 
@@ -57,20 +58,27 @@ class Matrix {
   std::vector<double> ApplyTransposed(const std::vector<double>& x) const;
 
   /// Resizes to (rows, cols) keeping the overlapping top-left block;
-  /// new cells are set to `fill`. Capacity grows geometrically, so the
-  /// GP's per-observation growth of its cached squares (Gram geometry,
-  /// Cholesky factor) costs amortized O(new cells), not O(n^2)
-  /// relayouts per append.
+  /// new cells are set to `fill`. Capacity grows geometrically and per
+  /// dimension: the row capacity doubles only when `rows` overflows it,
+  /// the pitch only when `cols` does. So the GP's per-observation
+  /// growth of its cached squares (Gram geometry, Cholesky factor) and
+  /// of its n-column transposed training buffers costs amortized
+  /// O(new cells), and memory stays O(rows x cols): at most 4x the
+  /// largest rows times the largest cols requested (2x when only one
+  /// dimension ever grew).
   void ResizePreserve(int rows, int cols, double fill = 0.0);
 
   /// Appends one row (cols() doubles) to the bottom; construct with
   /// the intended column count first. Zero-column matrices are fine
-  /// (the append only bumps rows()). Amortized O(cols).
+  /// (the append only bumps rows()). Amortized O(cols); only the row
+  /// capacity grows, so on a matrix grown only this way rows stay
+  /// packed and memory stays within 2x of rows x cols.
   void AppendRow(const double* row);
 
  private:
-  /// Re-layouts into a buffer with at least (rows, cols) logical cells,
-  /// growing stride and row capacity geometrically.
+  /// Re-layouts into a buffer with at least (rows, cols) logical cells.
+  /// Each dimension that overflows grows to max(requested, 2 x
+  /// current); a dimension that still fits keeps its capacity.
   void Grow(int rows, int cols, double fill);
 
   int rows_ = 0;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <vector>
 
 #include "src/common/matrix.h"
@@ -58,6 +60,141 @@ TEST(MatrixTest, AppendRowGrowsWithoutMovingCells) {
   EXPECT_EQ(m.rows(), 2);
   EXPECT_EQ(m.at(1, 0), 3.0);
   EXPECT_EQ(m.at(1, 1), 4.0);
+}
+
+// Growth is per dimension: capacity stays within a constant factor of
+// the shape reached, however that shape was grown.
+TEST(MatrixCapacityTest, AppendRowKeepsRowsPacked) {
+  constexpr int kRows = 300;
+  constexpr int kCols = 16;
+  Matrix m(0, kCols);
+  std::vector<double> row(kCols);
+  for (int i = 0; i < kRows; ++i) {
+    for (int c = 0; c < kCols; ++c) row[c] = i * kCols + c;
+    m.AppendRow(row.data());
+  }
+  for (int i = 0; i + 1 < kRows; ++i) {
+    ASSERT_EQ(m.Row(i + 1) - m.Row(i), kCols) << "row " << i;
+  }
+  EXPECT_LE(m.data().size(), static_cast<size_t>(2 * kRows * kCols));
+  for (int k = 0; k < kRows * kCols; ++k) {
+    ASSERT_EQ(m.data()[k], static_cast<double>(k)) << "cell " << k;
+  }
+}
+
+TEST(MatrixCapacityTest, ColumnGrowthKeepsRowCapacity) {
+  // The transposed training buffer's pattern: fixed rows, one more
+  // column per observation.
+  constexpr int kRows = 16;
+  constexpr int kMaxCols = 300;
+  Matrix m;
+  for (int n = 1; n <= kMaxCols; ++n) {
+    m.ResizePreserve(kRows, n, 0.0);
+    for (int r = 0; r < kRows; ++r) m.at(r, n - 1) = r * kMaxCols + n;
+  }
+  EXPECT_LE(m.data().size(), static_cast<size_t>(2 * kRows * kMaxCols));
+  for (int r = 0; r < kRows; ++r) {
+    for (int c = 0; c < kMaxCols; ++c) {
+      ASSERT_EQ(m.at(r, c), r * kMaxCols + c + 1.0) << r << "," << c;
+    }
+  }
+}
+
+TEST(MatrixCapacityTest, SquareGrowthStaysQuadratic) {
+  // The Gram/Cholesky pattern: one more row and column per observation.
+  constexpr int kN = 300;
+  Matrix m;
+  for (int n = 1; n <= kN; ++n) m.ResizePreserve(n, n, 1.0);
+  EXPECT_LE(m.data().size(), static_cast<size_t>(4 * kN * kN));
+}
+
+// Every visible cell of `m` against the oracle (oracle_cols columns,
+// one inner vector per row).
+::testing::AssertionResult MatchesOracle(
+    const Matrix& m, const std::vector<std::vector<double>>& oracle,
+    int oracle_cols) {
+  if (m.rows() != static_cast<int>(oracle.size()) ||
+      m.cols() != oracle_cols) {
+    return ::testing::AssertionFailure()
+           << "shape " << m.rows() << "x" << m.cols() << ", want "
+           << oracle.size() << "x" << oracle_cols;
+  }
+  for (int r = 0; r < m.rows(); ++r) {
+    for (int c = 0; c < m.cols(); ++c) {
+      if (m.at(r, c) != oracle[r][c]) {
+        return ::testing::AssertionFailure()
+               << "cell (" << r << "," << c << ") = " << m.at(r, c)
+               << ", want " << oracle[r][c];
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(MatrixContentsTest, RandomGrowShrinkSequenceMatchesOracle) {
+  // Grows and shrinks each dimension independently so every relayout
+  // path runs: in place, rows reallocated with the pitch kept, pitch
+  // widened with the row capacity kept, and both at once. Fill values
+  // differ per call, so a newly exposed cell holding a stale value
+  // (from an earlier, larger shape) or the wrong fill is caught.
+  constexpr int kMaxDim = 96;
+  constexpr int kSteps = 3000;
+  Rng rng(2024);
+  Matrix m;
+  std::vector<std::vector<double>> oracle;
+  int cols = 0;
+  auto next_size = [&](int current) -> int {
+    switch (rng.UniformInt(0, 2)) {
+      case 0:  // grow
+        return std::min<int>(kMaxDim, current + rng.UniformInt(1, 24));
+      case 1:  // shrink
+        return static_cast<int>(rng.UniformInt(0, current));
+      default:  // keep
+        return current;
+    }
+  };
+  int row_only_reallocs = 0;
+  int col_only_reallocs = 0;
+  std::ptrdiff_t prev_pitch = 0;
+  size_t prev_size = 0;
+  for (int step = 0; step < kSteps; ++step) {
+    if (rng.Bernoulli(0.4)) {
+      std::vector<double> row(cols);
+      for (double& v : row) v = rng.Gaussian();
+      m.AppendRow(row.data());
+      oracle.push_back(row);
+    } else {
+      int rows = next_size(static_cast<int>(oracle.size()));
+      int new_cols = next_size(cols);
+      double fill = rng.Uniform(-1.0, 1.0);
+      m.ResizePreserve(rows, new_cols, fill);
+      oracle.resize(rows, std::vector<double>(new_cols, fill));
+      for (auto& row : oracle) row.resize(new_cols, fill);
+      cols = new_cols;
+    }
+    // Overwrite one visible cell so capacity left behind by a later
+    // shrink holds values that differ from any fill.
+    if (!oracle.empty() && cols > 0) {
+      int r = static_cast<int>(rng.UniformInt(0, oracle.size() - 1));
+      int c = static_cast<int>(rng.UniformInt(0, cols - 1));
+      m.at(r, c) = oracle[r][c] = rng.Gaussian();
+    }
+    ASSERT_TRUE(MatchesOracle(m, oracle, cols)) << "after step " << step;
+    if (m.rows() >= 2) {
+      std::ptrdiff_t pitch = m.Row(1) - m.Row(0);
+      size_t size = m.data().size();
+      if (prev_pitch > 0 && pitch > 0) {
+        if (pitch == prev_pitch && size > prev_size) ++row_only_reallocs;
+        if (pitch > prev_pitch && size / pitch == prev_size / prev_pitch) {
+          ++col_only_reallocs;
+        }
+      }
+      prev_pitch = pitch;
+      prev_size = size;
+    }
+  }
+  EXPECT_GT(row_only_reallocs, 0);
+  EXPECT_GT(col_only_reallocs, 0);
 }
 
 TEST(FlatCholeskyTest, FactorsKnownMatrix) {
