@@ -41,6 +41,11 @@ Rules (see docs/static-analysis.md for the rationale table):
   raw-thread      std::thread outside src/common/sync.h and the
                   ThreadPool — ad-hoc threads dodge the pool's
                   determinism contract (one index, one executor).
+  raw-token-parse DecodeDoubleBits( / ParseInt64( / DecodeBytes( /
+                  std::istringstream in serde, trial and racing-stat
+                  code outside src/common/serde — persisted and wire
+                  text is decoded by a field list over TokenReader,
+                  the one total, range-checked reader.
 
 Escape hatch: a finding is suppressed when the offending line, or the
 line directly above it, carries `lint:allow(<rule>)` in a comment.
@@ -138,6 +143,16 @@ RULES = [
         "pattern": re.compile(r"std::thread\b(?!::hardware_concurrency)"),
         "allow": ("src/common/sync.h", "src/common/thread_pool."),
         "why": "ad-hoc threads bypass the ThreadPool determinism contract",
+    },
+    {
+        "name": "raw-token-parse",
+        "pattern": re.compile(
+            r"(?<![\w:])(?:DecodeDoubleBits|ParseInt64|DecodeBytes)\s*\("
+            r"|std::istringstream\b"
+        ),
+        "only": SERDE_PATHS + ("src/core/trial.", "src/core/running_stat."),
+        "allow": ("src/common/serde.",),
+        "why": "decode persisted/wire text with a TokenReader field list",
     },
 ]
 

@@ -60,6 +60,7 @@ class EndToEndTest(unittest.TestCase):
             ("src/net/bad_format.cc", "lossy-float-format"),
             ("src/bad_mutex.cc", "raw-mutex"),
             ("src/bad_thread.cc", "raw-thread"),
+            ("src/net/bad_token_parse.cc", "raw-token-parse"),
         }
         self.assertEqual(expected, self.findings, self.proc.stdout)
 
@@ -73,6 +74,7 @@ class EndToEndTest(unittest.TestCase):
         files = {path for path, _ in self.findings}
         self.assertNotIn("src/common/rng.cc", files)
         self.assertNotIn("src/common/sync.h", files)
+        self.assertNotIn("src/common/serde.cc", files)
 
     def test_escape_hatch_suppresses(self):
         files = {path for path, _ in self.findings}

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "src/common/serde.h"
 
@@ -21,6 +20,14 @@ void NeumaierAdd(double x, double* sum, double* carry) {
   }
   *sum = t;
 }
+
+/// `stat <count>` and the seven accumulator doubles, in member order.
+constexpr auto kStatFields = [](auto& io, auto& count, auto&... sums) {
+  io.Literal("stat");
+  io.Value(count);
+  io.Check(count >= 0, "negative stat count");
+  (io.Value(sums), ...);
+};
 
 }  // namespace
 
@@ -59,39 +66,17 @@ double RunningStat::CiHalfWidth(double z) const {
 }
 
 std::string RunningStat::Serialize() const {
-  std::ostringstream out;
-  out << "stat " << count_;
-  for (double v : {shift_, sum_, sum_c_, sum_sq_, sum_sq_c_, min_, max_}) {
-    out << ' ' << EncodeDoubleBits(v);
-  }
-  return out.str();
+  return WriteTokens(kStatFields, count_, shift_, sum_, sum_c_, sum_sq_,
+                     sum_sq_c_, min_, max_);
 }
 
 Result<RunningStat> RunningStat::Parse(const std::string& line) {
-  std::istringstream in(line);
-  std::string tag, count_tok;
-  if (!(in >> tag >> count_tok) || tag != "stat") {
-    return Status::InvalidArgument("expected 'stat' line, got: " + line);
-  }
-  Result<int64_t> count = ParseInt64(count_tok);
-  if (!count.ok()) return count.status();
-  if (*count < 0) {
-    return Status::InvalidArgument("negative stat count: " + count_tok);
-  }
   RunningStat stat;
-  stat.count_ = *count;
-  double* fields[] = {&stat.shift_,  &stat.sum_,    &stat.sum_c_,
-                      &stat.sum_sq_, &stat.sum_sq_c_, &stat.min_,
-                      &stat.max_};
-  std::string token;
-  for (double* field : fields) {
-    if (!(in >> token)) {
-      return Status::InvalidArgument("truncated stat line: " + line);
-    }
-    Result<double> value = DecodeDoubleBits(token);
-    if (!value.ok()) return value.status();
-    *field = *value;
-  }
+  Status status =
+      ReadTokens(line, kStatFields, stat.count_, stat.shift_, stat.sum_,
+                 stat.sum_c_, stat.sum_sq_, stat.sum_sq_c_, stat.min_,
+                 stat.max_);
+  if (!status.ok()) return status;
   return stat;
 }
 

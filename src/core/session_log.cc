@@ -1,11 +1,8 @@
 #include "src/core/session_log.h"
 
-#include <cstdio>
 #include <sstream>
 
-#ifndef _WIN32
-#include <unistd.h>
-#endif
+#include "src/common/file_io.h"
 
 namespace llamatune {
 
@@ -14,6 +11,7 @@ namespace {
 std::vector<std::string> SplitCsvLine(const std::string& line) {
   std::vector<std::string> fields;
   std::string field;
+  // lint:allow(raw-token-parse) — CSV export, not a token stream
   std::istringstream in(line);
   while (std::getline(in, field, ',')) fields.push_back(field);
   if (!line.empty() && line.back() == ',') fields.push_back("");
@@ -45,6 +43,7 @@ std::string SerializeKnowledgeBase(const ConfigSpace& space,
 
 Result<KnowledgeBase> ParseKnowledgeBase(const ConfigSpace& space,
                                          const std::string& text) {
+  // lint:allow(raw-token-parse) — CSV export, not a token stream
   std::istringstream in(text);
   std::string line;
   if (!std::getline(in, line)) {
@@ -100,76 +99,23 @@ Result<KnowledgeBase> ParseKnowledgeBase(const ConfigSpace& space,
 
 Status SaveKnowledgeBase(const ConfigSpace& space, const KnowledgeBase& kb,
                          const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "w");
-  if (file == nullptr) {
-    return Status::Internal("cannot open '" + path + "' for writing");
-  }
-  std::string text = SerializeKnowledgeBase(space, kb);
-  size_t written = std::fwrite(text.data(), 1, text.size(), file);
-  std::fclose(file);
-  if (written != text.size()) {
-    return Status::Internal("short write to '" + path + "'");
-  }
-  return Status::OK();
+  return AtomicWriteFile(path, SerializeKnowledgeBase(space, kb));
 }
 
 Result<KnowledgeBase> LoadKnowledgeBase(const ConfigSpace& space,
                                         const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) {
-    return Status::NotFound("cannot open '" + path + "'");
-  }
-  std::string text;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    text.append(buffer, n);
-  }
-  std::fclose(file);
-  return ParseKnowledgeBase(space, text);
+  Result<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseKnowledgeBase(space, *text);
 }
 
 Status SaveCheckpointFile(const std::string& checkpoint,
                           const std::string& path) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "w");
-  if (file == nullptr) {
-    return Status::Internal("cannot open '" + tmp + "' for writing");
-  }
-  size_t written = std::fwrite(checkpoint.data(), 1, checkpoint.size(), file);
-  bool flushed = std::fflush(file) == 0;
-#ifndef _WIN32
-  // fflush only reaches the kernel page cache; without fsync a crash
-  // shortly after the rename can commit the name change before the
-  // data blocks, replacing the previous good checkpoint with a
-  // truncated file — the exact failure this API promises to prevent.
-  flushed = flushed && fsync(fileno(file)) == 0;
-#endif
-  std::fclose(file);
-  if (written != checkpoint.size() || !flushed) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write to '" + tmp + "'");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename '" + tmp + "' to '" + path + "'");
-  }
-  return Status::OK();
+  return AtomicWriteFile(path, checkpoint);
 }
 
 Result<std::string> LoadCheckpointFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) {
-    return Status::NotFound("cannot open '" + path + "'");
-  }
-  std::string text;
-  char buffer[4096];
-  size_t n;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), file)) > 0) {
-    text.append(buffer, n);
-  }
-  std::fclose(file);
-  return text;
+  return ReadFile(path);
 }
 
 }  // namespace llamatune

@@ -1,170 +1,59 @@
 #include "src/core/trial.h"
 
-#include <algorithm>
-#include <cstdint>
-#include <cstring>
-#include <sstream>
-
 namespace llamatune {
 
 namespace {
 
-/// Reads `count` bit-encoded doubles from the token stream. The
-/// reserve is clamped: `count` comes from untrusted text, and a
-/// corrupt header must fail through the truncated-stream error path
-/// below, not throw bad_alloc out of a Status-returning API.
-Result<std::vector<double>> ReadDoubles(std::istringstream* in, int64_t count,
-                                        const char* what) {
-  std::vector<double> values;
-  values.reserve(static_cast<size_t>(std::min<int64_t>(
-      std::max<int64_t>(count, 0), 4096)));
-  std::string token;
-  for (int64_t i = 0; i < count; ++i) {
-    if (!(*in >> token)) {
-      return Status::InvalidArgument(std::string("truncated ") + what +
-                                     " vector");
-    }
-    Result<double> v = DecodeDoubleBits(token);
-    if (!v.ok()) return v.status();
-    values.push_back(*v);
-  }
-  return values;
+/// Optional trailing `fid <bits>`: absent means full fidelity (the only
+/// value pre-fidelity writers produced), so old serialized trials and
+/// results parse unchanged, and the full-fidelity encoding stays
+/// byte-identical to the pre-fidelity format. Nothing may follow it.
+template <class IO, class Fidelity>
+void FidelityTail(IO& io, Fidelity& fidelity) {
+  io.Optional("fid", fidelity, 1.0);
+  io.Check(fidelity > 0.0 && fidelity <= 1.0, "fidelity out of (0, 1]");
+  io.End();
 }
 
-/// Consumes an optional trailing `fid <bits>` token pair. Absent token
-/// means full fidelity (the only value pre-fidelity writers produced),
-/// so old serialized trials/results parse unchanged; conversely the
-/// writers below emit the token only for fidelity != 1.0, keeping the
-/// full-fidelity encoding byte-identical to the pre-fidelity format.
-Status ReadOptionalFidelity(std::istringstream* in, double* fidelity) {
-  *fidelity = 1.0;
-  std::string section;
-  if (!(*in >> section)) return Status::OK();
-  if (section != "fid") {
-    return Status::InvalidArgument("unexpected trailing section '" + section +
-                                   "'");
-  }
-  std::string bits;
-  if (!(*in >> bits)) return Status::InvalidArgument("truncated fid token");
-  Result<double> value = DecodeDoubleBits(bits);
-  if (!value.ok()) return value.status();
-  if (!(*value > 0.0) || *value > 1.0) {
-    return Status::InvalidArgument("fidelity out of (0, 1]: " + bits);
-  }
-  std::string extra;
-  if (*in >> extra) {
-    return Status::InvalidArgument("unexpected trailing section '" + extra +
-                                   "'");
-  }
-  *fidelity = *value;
-  return Status::OK();
-}
+constexpr auto kTrial = [](auto& io, auto& trial) {
+  io.Literal("trial");
+  io.Value(trial.id);
+  io.Value(trial.is_baseline);
+  io.Field("point", trial.point);
+  io.Field("config", trial.config.values());
+  FidelityTail(io, trial.fidelity);
+};
+
+constexpr auto kTrialResult = [](auto& io, auto& result) {
+  io.Literal("result");
+  io.Value(result.trial_id);
+  io.EnumValue(result.outcome, TrialOutcome::kLost);
+  io.Value(result.value);
+  io.Field("metrics", result.metrics);
+  FidelityTail(io, result.fidelity);
+};
 
 }  // namespace
 
 std::string SerializeTrial(const Trial& trial) {
-  std::ostringstream out;
-  out << "trial " << trial.id << ' ' << (trial.is_baseline ? 1 : 0);
-  out << " point " << trial.point.size();
-  for (double v : trial.point) out << ' ' << EncodeDoubleBits(v);
-  out << " config " << trial.config.size();
-  for (double v : trial.config.values()) out << ' ' << EncodeDoubleBits(v);
-  if (trial.fidelity != 1.0) out << " fid " << EncodeDoubleBits(trial.fidelity);
-  return out.str();
+  return WriteTokens(kTrial, trial);
 }
 
 Result<Trial> ParseTrial(const std::string& line) {
-  std::istringstream in(line);
-  std::string tag;
-  if (!(in >> tag) || tag != "trial") {
-    return Status::InvalidArgument("expected 'trial' line, got: " + line);
-  }
-  std::string id_tok, baseline_tok;
-  if (!(in >> id_tok >> baseline_tok)) {
-    return Status::InvalidArgument("truncated trial header");
-  }
-  Result<int64_t> id = ParseInt64(id_tok);
-  if (!id.ok()) return id.status();
-  Result<int64_t> baseline = ParseInt64(baseline_tok);
-  if (!baseline.ok()) return baseline.status();
-
   Trial trial;
-  trial.id = *id;
-  trial.is_baseline = *baseline != 0;
-
-  std::string section, count_tok;
-  if (!(in >> section >> count_tok) || section != "point") {
-    return Status::InvalidArgument("expected 'point' section");
-  }
-  Result<int64_t> n_point = ParseInt64(count_tok);
-  if (!n_point.ok()) return n_point.status();
-  Result<std::vector<double>> point = ReadDoubles(&in, *n_point, "point");
-  if (!point.ok()) return point.status();
-  trial.point = std::move(point).ValueOrDie();
-
-  if (!(in >> section >> count_tok) || section != "config") {
-    return Status::InvalidArgument("expected 'config' section");
-  }
-  Result<int64_t> n_config = ParseInt64(count_tok);
-  if (!n_config.ok()) return n_config.status();
-  Result<std::vector<double>> config = ReadDoubles(&in, *n_config, "config");
-  if (!config.ok()) return config.status();
-  trial.config = Configuration(std::move(config).ValueOrDie());
-  Status fid = ReadOptionalFidelity(&in, &trial.fidelity);
-  if (!fid.ok()) return fid;
+  Status status = ReadTokens(line, kTrial, trial);
+  if (!status.ok()) return status;
   return trial;
 }
 
 std::string SerializeTrialResult(const TrialResult& result) {
-  std::ostringstream out;
-  out << "result " << result.trial_id << ' '
-      << static_cast<int>(result.outcome) << ' '
-      << EncodeDoubleBits(result.value);
-  out << " metrics " << result.metrics.size();
-  for (double v : result.metrics) out << ' ' << EncodeDoubleBits(v);
-  if (result.fidelity != 1.0) {
-    out << " fid " << EncodeDoubleBits(result.fidelity);
-  }
-  return out.str();
+  return WriteTokens(kTrialResult, result);
 }
 
 Result<TrialResult> ParseTrialResult(const std::string& line) {
-  std::istringstream in(line);
-  std::string tag;
-  if (!(in >> tag) || tag != "result") {
-    return Status::InvalidArgument("expected 'result' line, got: " + line);
-  }
-  std::string id_tok, outcome_tok, value_tok;
-  if (!(in >> id_tok >> outcome_tok >> value_tok)) {
-    return Status::InvalidArgument("truncated result header");
-  }
-  Result<int64_t> id = ParseInt64(id_tok);
-  if (!id.ok()) return id.status();
-  Result<int64_t> outcome = ParseInt64(outcome_tok);
-  if (!outcome.ok()) return outcome.status();
-  if (*outcome < 0 || *outcome > static_cast<int64_t>(TrialOutcome::kLost)) {
-    return Status::InvalidArgument("unknown trial outcome code " +
-                                   std::to_string(*outcome));
-  }
-  Result<double> value = DecodeDoubleBits(value_tok);
-  if (!value.ok()) return value.status();
-
   TrialResult result;
-  result.trial_id = *id;
-  result.outcome = static_cast<TrialOutcome>(*outcome);
-  result.value = *value;
-
-  std::string section, count_tok;
-  if (!(in >> section >> count_tok) || section != "metrics") {
-    return Status::InvalidArgument("expected 'metrics' section");
-  }
-  Result<int64_t> n_metrics = ParseInt64(count_tok);
-  if (!n_metrics.ok()) return n_metrics.status();
-  Result<std::vector<double>> metrics = ReadDoubles(&in, *n_metrics, "metrics");
-  if (!metrics.ok()) return metrics.status();
-  result.metrics = std::move(metrics).ValueOrDie();
-  Status fid = ReadOptionalFidelity(&in, &result.fidelity);
-  if (!fid.ok()) return fid;
+  Status status = ReadTokens(line, kTrialResult, result);
+  if (!status.ok()) return status;
   return result;
 }
 

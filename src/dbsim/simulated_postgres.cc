@@ -7,6 +7,7 @@
 
 #include "src/common/fault_injection.h"
 #include "src/common/rng.h"
+#include "src/common/serde.h"
 #include "src/dbsim/des/des_engine.h"
 
 namespace llamatune {
@@ -27,18 +28,15 @@ std::unique_ptr<ObjectiveFunction> SimulatedPostgres::Clone() const {
 }
 
 Status SimulatedPostgres::RestoreState(const std::string& state) {
-  try {
-    size_t pos = 0;
-    int count = std::stoi(state, &pos);
-    if (pos != state.size() || count < 0) {
-      return Status::InvalidArgument(
-          "SimulatedPostgres::RestoreState: bad evaluation counter: " + state);
-    }
-    eval_count_ = count;
-  } catch (const std::exception&) {
+  TokenReader in(state);
+  int count = 0;
+  in.Value(count);
+  in.End();
+  if (!in.ok() || count < 0) {
     return Status::InvalidArgument(
         "SimulatedPostgres::RestoreState: bad evaluation counter: " + state);
   }
+  eval_count_ = count;
   return Status::OK();
 }
 

@@ -1,9 +1,7 @@
 #include "src/net/message.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "src/common/serde.h"
@@ -85,858 +83,408 @@ Status StatusFromWireError(WireError code, std::string message) {
 
 namespace {
 
-/// Strings travel as one 'x'-prefixed hex token so that empty strings
-/// and strings with whitespace survive the token stream.
-void PutStr(std::ostringstream* out, const char* tag, const std::string& s) {
-  *out << ' ' << tag << " x" << EncodeBytes(s);
+// Every payload below is one field list: a generic lambda run over a
+// TokenWriter to encode and over a TokenReader to decode (serde.h), so
+// each tag, its position and its version gate are written once.
+
+/// Trials and results ride as one x-hex token of their own serialized
+/// line.
+void Carry(TokenWriter& out, const Trial& trial) {
+  out.Value(SerializeTrial(trial));
 }
-
-Result<std::string> GetStr(std::istringstream* in, const char* tag) {
-  std::string got_tag, token;
-  if (!(*in >> got_tag >> token) || got_tag != tag) {
-    return Status::InvalidArgument(std::string("wire: expected '") + tag +
-                                   "' string field");
-  }
-  if (token.empty() || token[0] != 'x') {
-    return Status::InvalidArgument(std::string("wire: field '") + tag +
-                                   "' is not an x-prefixed hex token");
-  }
-  return DecodeBytes(token.substr(1));
+void Carry(TokenReader& in, Trial& trial) {
+  std::string line;
+  in.Value(line);
+  if (in.ok()) in.Assign(ParseTrial(line), trial);
 }
-
-void PutInt(std::ostringstream* out, const char* tag, int64_t value) {
-  *out << ' ' << tag << ' ' << value;
+void Carry(TokenWriter& out, const TrialResult& result) {
+  out.Value(SerializeTrialResult(result));
 }
-
-Result<int64_t> GetInt(std::istringstream* in, const char* tag) {
-  std::string got_tag, token;
-  if (!(*in >> got_tag >> token) || got_tag != tag) {
-    return Status::InvalidArgument(std::string("wire: expected '") + tag +
-                                   "' integer field");
-  }
-  return ParseInt64(token);
+void Carry(TokenReader& in, TrialResult& result) {
+  std::string line;
+  in.Value(line);
+  if (in.ok()) in.Assign(ParseTrialResult(line), result);
 }
+constexpr auto kCarried = [](auto& io, auto& item) { Carry(io, item); };
 
-void PutU64(std::ostringstream* out, const char* tag, uint64_t value) {
-  *out << ' ' << tag << ' ' << value;
-}
+constexpr auto kKnob = [](auto& io, auto& knob) {
+  io.Literal("knob");
+  io.Field("name", knob.name);
+  io.Enum("type", knob.type, KnobType::kCategorical);
+  io.Field("min", knob.min_value);
+  io.Field("max", knob.max_value);
+  io.Field("log", knob.log_scale);
+  io.Field("default", knob.default_value);
+  io.Field("cats", knob.categories);
+  io.Field("specials", knob.special_values);
+  io.Field("unit", knob.unit);
+};
 
-Result<uint64_t> GetU64(std::istringstream* in, const char* tag) {
-  std::string got_tag, token;
-  if (!(*in >> got_tag >> token) || got_tag != tag) {
-    return Status::InvalidArgument(std::string("wire: expected '") + tag +
-                                   "' u64 field");
-  }
-  if (token.empty()) return Status::InvalidArgument("wire: empty u64 token");
-  errno = 0;
-  char* end = nullptr;
-  unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-  if (errno != 0 || end != token.c_str() + token.size() || token[0] == '-') {
-    return Status::InvalidArgument("wire: bad u64 token: " + token);
-  }
-  return static_cast<uint64_t>(value);
-}
+constexpr int kSpecVersion = 3;
 
-void PutBits(std::ostringstream* out, const char* tag, double value) {
-  *out << ' ' << tag << ' ' << EncodeDoubleBits(value);
-}
-
-Result<double> GetBits(std::istringstream* in, const char* tag) {
-  std::string got_tag, token;
-  if (!(*in >> got_tag >> token) || got_tag != tag) {
-    return Status::InvalidArgument(std::string("wire: expected '") + tag +
-                                   "' double field");
-  }
-  return DecodeDoubleBits(token);
-}
-
-void PutBool(std::ostringstream* out, const char* tag, bool value) {
-  PutInt(out, tag, value ? 1 : 0);
-}
-
-Result<bool> GetBool(std::istringstream* in, const char* tag) {
-  Result<int64_t> value = GetInt(in, tag);
-  if (!value.ok()) return value.status();
-  return *value != 0;
-}
-
-/// Clamp untrusted element counts before reserve() (idiom of
-/// src/core/trial.cc): a corrupt count must fail through the
-/// truncated-stream path, not throw bad_alloc.
-size_t ClampReserve(int64_t count) {
-  return static_cast<size_t>(
-      std::min<int64_t>(std::max<int64_t>(count, 0), 4096));
-}
-
-Result<std::string> DecodeHeaderName(std::istringstream* in,
-                                     const char* header) {
-  std::string tag;
-  if (!(*in >> tag) || tag != header) {
-    return Status::InvalidArgument(std::string("wire: expected '") + header +
-                                   "' payload");
-  }
-  return GetStr(in, "name");
-}
-
-void EncodeKnob(std::ostringstream* out, const KnobSpec& knob) {
-  *out << " knob";
-  PutStr(out, "name", knob.name);
-  PutInt(out, "type", static_cast<int>(knob.type));
-  PutBits(out, "min", knob.min_value);
-  PutBits(out, "max", knob.max_value);
-  PutBool(out, "log", knob.log_scale);
-  PutBits(out, "default", knob.default_value);
-  PutInt(out, "cats", static_cast<int64_t>(knob.categories.size()));
-  for (const std::string& category : knob.categories) {
-    *out << " x" << EncodeBytes(category);
-  }
-  PutInt(out, "specials", static_cast<int64_t>(knob.special_values.size()));
-  for (double value : knob.special_values) {
-    *out << ' ' << EncodeDoubleBits(value);
-  }
-  PutStr(out, "unit", knob.unit);
-}
-
-Result<KnobSpec> DecodeKnob(std::istringstream* in) {
-  std::string tag;
-  if (!(*in >> tag) || tag != "knob") {
-    return Status::InvalidArgument("wire: expected 'knob' entry");
-  }
-  KnobSpec knob;
-  Result<std::string> name = GetStr(in, "name");
-  if (!name.ok()) return name.status();
-  knob.name = *name;
-  Result<int64_t> type = GetInt(in, "type");
-  if (!type.ok()) return type.status();
-  if (*type < 0 || *type > static_cast<int>(KnobType::kCategorical)) {
-    return Status::InvalidArgument("wire: bad knob type " +
-                                   std::to_string(*type));
-  }
-  knob.type = static_cast<KnobType>(*type);
-  Result<double> min_value = GetBits(in, "min");
-  if (!min_value.ok()) return min_value.status();
-  knob.min_value = *min_value;
-  Result<double> max_value = GetBits(in, "max");
-  if (!max_value.ok()) return max_value.status();
-  knob.max_value = *max_value;
-  Result<bool> log_scale = GetBool(in, "log");
-  if (!log_scale.ok()) return log_scale.status();
-  knob.log_scale = *log_scale;
-  Result<double> default_value = GetBits(in, "default");
-  if (!default_value.ok()) return default_value.status();
-  knob.default_value = *default_value;
-
-  Result<int64_t> num_categories = GetInt(in, "cats");
-  if (!num_categories.ok()) return num_categories.status();
-  knob.categories.reserve(ClampReserve(*num_categories));
-  for (int64_t i = 0; i < *num_categories; ++i) {
-    std::string token;
-    if (!(*in >> token) || token.empty() || token[0] != 'x') {
-      return Status::InvalidArgument("wire: truncated knob categories");
-    }
-    Result<std::string> category = DecodeBytes(token.substr(1));
-    if (!category.ok()) return category.status();
-    knob.categories.push_back(*category);
-  }
-
-  Result<int64_t> num_specials = GetInt(in, "specials");
-  if (!num_specials.ok()) return num_specials.status();
-  knob.special_values.reserve(ClampReserve(*num_specials));
-  for (int64_t i = 0; i < *num_specials; ++i) {
-    std::string token;
-    if (!(*in >> token)) {
-      return Status::InvalidArgument("wire: truncated knob special values");
-    }
-    Result<double> value = DecodeDoubleBits(token);
-    if (!value.ok()) return value.status();
-    knob.special_values.push_back(*value);
-  }
-
-  Result<std::string> unit = GetStr(in, "unit");
-  if (!unit.ok()) return unit.status();
-  knob.unit = *unit;
-  return knob;
-}
-
-void EncodeSpecInto(std::ostringstream* out, const WireSessionSpec& spec) {
-  *out << " spec 3";
-  PutStr(out, "workload", spec.workload);
-  PutInt(out, "knobs", static_cast<int64_t>(spec.space_knobs.size()));
-  for (const KnobSpec& knob : spec.space_knobs) EncodeKnob(out, knob);
-  PutBool(out, "maximize", spec.maximize);
-  PutStr(out, "optimizer", spec.optimizer_key);
-  PutStr(out, "adapter", spec.adapter_key);
-  PutU64(out, "seed", spec.seed);
-  PutInt(out, "iterations", spec.num_iterations);
-  PutInt(out, "batch", spec.batch_size);
-  PutInt(out, "threads", spec.num_threads);
-  PutInt(out, "deadline", spec.pending_deadline_ms);
-  PutBool(out, "racing", spec.racing);
-  if (spec.racing) {
-    PutInt(out, "cohort", spec.racing_cohort);
-    PutInt(out, "rungs", spec.racing_rungs);
-    PutBits(out, "minfid", spec.racing_min_fidelity);
-    PutBits(out, "eta", spec.racing_eta);
-    PutBits(out, "ciz", spec.racing_ci_z);
-  }
-}
-
-Result<WireSessionSpec> DecodeSpecFrom(std::istringstream* in) {
+constexpr auto kSpec = [](auto& io, auto& spec) {
   // v2 appended the pending-deadline field, v3 the racing block; v1/v2
   // payloads (older peers, pre-upgrade autosave files) still decode,
   // with the deadline at 0 and racing off.
-  std::string tag, version;
-  if (!(*in >> tag >> version) || tag != "spec" ||
-      (version != "1" && version != "2" && version != "3")) {
-    return Status::InvalidArgument("wire: expected 'spec 1|2|3' section");
-  }
-  WireSessionSpec spec;
-  Result<std::string> workload = GetStr(in, "workload");
-  if (!workload.ok()) return workload.status();
-  spec.workload = *workload;
-  Result<int64_t> num_knobs = GetInt(in, "knobs");
-  if (!num_knobs.ok()) return num_knobs.status();
-  spec.space_knobs.reserve(ClampReserve(*num_knobs));
-  for (int64_t i = 0; i < *num_knobs; ++i) {
-    Result<KnobSpec> knob = DecodeKnob(in);
-    if (!knob.ok()) return knob.status();
-    spec.space_knobs.push_back(std::move(knob).ValueOrDie());
-  }
-  if (spec.workload.empty() == spec.space_knobs.empty()) {
-    return Status::InvalidArgument(
-        "wire: spec must carry exactly one source (workload name or knob "
-        "space)");
-  }
-  Result<bool> maximize = GetBool(in, "maximize");
-  if (!maximize.ok()) return maximize.status();
-  spec.maximize = *maximize;
-  Result<std::string> optimizer = GetStr(in, "optimizer");
-  if (!optimizer.ok()) return optimizer.status();
-  spec.optimizer_key = *optimizer;
-  Result<std::string> adapter = GetStr(in, "adapter");
-  if (!adapter.ok()) return adapter.status();
-  spec.adapter_key = *adapter;
-  Result<uint64_t> seed = GetU64(in, "seed");
-  if (!seed.ok()) return seed.status();
-  spec.seed = *seed;
-  Result<int64_t> iterations = GetInt(in, "iterations");
-  if (!iterations.ok()) return iterations.status();
-  spec.num_iterations = static_cast<int>(*iterations);
-  Result<int64_t> batch = GetInt(in, "batch");
-  if (!batch.ok()) return batch.status();
-  spec.batch_size = static_cast<int>(*batch);
-  Result<int64_t> threads = GetInt(in, "threads");
-  if (!threads.ok()) return threads.status();
-  spec.num_threads = static_cast<int>(*threads);
-  if (version == "2" || version == "3") {
-    Result<int64_t> deadline = GetInt(in, "deadline");
-    if (!deadline.ok()) return deadline.status();
-    spec.pending_deadline_ms = *deadline;
-  }
-  if (version == "3") {
-    Result<bool> racing = GetBool(in, "racing");
-    if (!racing.ok()) return racing.status();
-    spec.racing = *racing;
+  io.Literal("spec");
+  int version = kSpecVersion;
+  io.Value(version);
+  io.Check(version >= 1 && version <= kSpecVersion,
+           "wire: expected 'spec 1|2|3' section");
+  io.Field("workload", spec.workload);
+  io.Each("knobs", spec.space_knobs, kKnob);
+  io.Check(spec.workload.empty() != spec.space_knobs.empty(),
+           "wire: spec must carry exactly one source (workload name or "
+           "knob space)");
+  io.Field("maximize", spec.maximize);
+  io.Field("optimizer", spec.optimizer_key);
+  io.Field("adapter", spec.adapter_key);
+  io.Field("seed", spec.seed);
+  io.Field("iterations", spec.num_iterations);
+  io.Field("batch", spec.batch_size);
+  io.Field("threads", spec.num_threads);
+  if (version >= 2) io.Field("deadline", spec.pending_deadline_ms);
+  if (version >= 3) {
+    io.Field("racing", spec.racing);
     if (spec.racing) {
-      Result<int64_t> cohort = GetInt(in, "cohort");
-      if (!cohort.ok()) return cohort.status();
-      spec.racing_cohort = static_cast<int>(*cohort);
-      Result<int64_t> rungs = GetInt(in, "rungs");
-      if (!rungs.ok()) return rungs.status();
-      spec.racing_rungs = static_cast<int>(*rungs);
-      Result<double> minfid = GetBits(in, "minfid");
-      if (!minfid.ok()) return minfid.status();
-      spec.racing_min_fidelity = *minfid;
-      Result<double> eta = GetBits(in, "eta");
-      if (!eta.ok()) return eta.status();
-      spec.racing_eta = *eta;
-      Result<double> ciz = GetBits(in, "ciz");
-      if (!ciz.ok()) return ciz.status();
-      spec.racing_ci_z = *ciz;
+      io.Field("cohort", spec.racing_cohort);
+      io.Field("rungs", spec.racing_rungs);
+      io.Field("minfid", spec.racing_min_fidelity);
+      io.Field("eta", spec.racing_eta);
+      io.Field("ciz", spec.racing_ci_z);
     }
   }
-  return spec;
-}
+};
 
-void EncodeStatusInto(std::ostringstream* out, const WireSessionStatus& s) {
-  *out << " status";
-  PutStr(out, "name", s.status.name);
-  PutStr(out, "optimizer", s.status.optimizer_key);
-  PutStr(out, "adapter", s.status.adapter_key);
-  PutBool(out, "external", s.status.external);
-  PutInt(out, "iters", s.status.iterations_run);
-  PutInt(out, "total", s.status.num_iterations);
-  PutInt(out, "pending", s.status.pending_trials);
-  PutBool(out, "finished", s.status.finished);
-  PutBits(out, "defperf", s.status.default_performance);
-  PutBits(out, "bestperf", s.status.best_performance);
-  PutInt(out, "created", s.status.created_unix_ms);
-  PutInt(out, "active", s.status.last_activity_unix_ms);
-  PutBool(out, "driving", s.driving);
-}
+constexpr auto kStatus = [](auto& io, auto& s) {
+  io.Literal("status");
+  io.Field("name", s.status.name);
+  io.Field("optimizer", s.status.optimizer_key);
+  io.Field("adapter", s.status.adapter_key);
+  io.Field("external", s.status.external);
+  io.Field("iters", s.status.iterations_run);
+  io.Field("total", s.status.num_iterations);
+  io.Field("pending", s.status.pending_trials);
+  io.Field("finished", s.status.finished);
+  io.Field("defperf", s.status.default_performance);
+  io.Field("bestperf", s.status.best_performance);
+  io.Field("created", s.status.created_unix_ms);
+  io.Field("active", s.status.last_activity_unix_ms);
+  io.Field("driving", s.driving);
+};
 
-Result<WireSessionStatus> DecodeStatusFrom(std::istringstream* in) {
-  std::string tag;
-  if (!(*in >> tag) || tag != "status") {
-    return Status::InvalidArgument("wire: expected 'status' section");
-  }
-  WireSessionStatus out;
-  Result<std::string> name = GetStr(in, "name");
-  if (!name.ok()) return name.status();
-  out.status.name = *name;
-  Result<std::string> optimizer = GetStr(in, "optimizer");
-  if (!optimizer.ok()) return optimizer.status();
-  out.status.optimizer_key = *optimizer;
-  Result<std::string> adapter = GetStr(in, "adapter");
-  if (!adapter.ok()) return adapter.status();
-  out.status.adapter_key = *adapter;
-  Result<bool> external = GetBool(in, "external");
-  if (!external.ok()) return external.status();
-  out.status.external = *external;
-  Result<int64_t> iters = GetInt(in, "iters");
-  if (!iters.ok()) return iters.status();
-  out.status.iterations_run = static_cast<int>(*iters);
-  Result<int64_t> total = GetInt(in, "total");
-  if (!total.ok()) return total.status();
-  out.status.num_iterations = static_cast<int>(*total);
-  Result<int64_t> pending = GetInt(in, "pending");
-  if (!pending.ok()) return pending.status();
-  out.status.pending_trials = static_cast<int>(*pending);
-  Result<bool> finished = GetBool(in, "finished");
-  if (!finished.ok()) return finished.status();
-  out.status.finished = *finished;
-  Result<double> defperf = GetBits(in, "defperf");
-  if (!defperf.ok()) return defperf.status();
-  out.status.default_performance = *defperf;
-  Result<double> bestperf = GetBits(in, "bestperf");
-  if (!bestperf.ok()) return bestperf.status();
-  out.status.best_performance = *bestperf;
-  Result<int64_t> created = GetInt(in, "created");
-  if (!created.ok()) return created.status();
-  out.status.created_unix_ms = *created;
-  Result<int64_t> active = GetInt(in, "active");
-  if (!active.ok()) return active.status();
-  out.status.last_activity_unix_ms = *active;
-  Result<bool> driving = GetBool(in, "driving");
-  if (!driving.ok()) return driving.status();
-  out.driving = *driving;
-  return out;
+constexpr auto kHello = [](auto& io, auto& tenant) {
+  io.Literal("hello");
+  io.Field("tenant", tenant);
+};
+
+constexpr auto kSpecDoc = [](auto& io, auto& spec) {
+  io.Literal("specdoc");
+  kSpec(io, spec);
+};
+
+constexpr auto kCreate = [](auto& io, auto& name, auto& spec) {
+  io.Literal("create");
+  io.Field("name", name);
+  kSpec(io, spec);
+};
+
+constexpr auto kResume = [](auto& io, auto& name, auto& spec,
+                            auto& checkpoint) {
+  io.Literal("resume");
+  io.Field("name", name);
+  io.Field("checkpoint", checkpoint);
+  kSpec(io, spec);
+};
+
+constexpr auto kNameOnly = [](auto& io, auto& name) {
+  io.Literal("session");
+  io.Field("name", name);
+};
+
+constexpr auto kAskBatch = [](auto& io, auto& name, auto& n) {
+  io.Literal("askbatch");
+  io.Field("name", name);
+  io.Field("n", n);
+};
+
+constexpr auto kTell = [](auto& io, auto& name, auto& result) {
+  io.Literal("tell");
+  io.Field("name", name);
+  io.Literal("result");
+  Carry(io, result);
+};
+
+constexpr auto kTellBatch = [](auto& io, auto& name, auto& results) {
+  io.Literal("tellbatch");
+  io.Field("name", name);
+  io.Each("n", results, kCarried);
+};
+
+constexpr auto kError = [](auto& io, auto& code, auto& message,
+                           auto& retry_after_ms) {
+  io.Literal("error");
+  io.Field("code", code);
+  io.Field("message", message);
+  // Optional trailing hint: pre-hint decoders stop after 'message' and
+  // never see it (the append-only payload evolution rule).
+  io.Optional("retryms", retry_after_ms, int64_t{0});
+};
+
+constexpr auto kTrialReply = [](auto& io, auto& trial) {
+  io.Literal("trialreply");
+  io.Literal("trial");
+  Carry(io, trial);
+};
+
+constexpr auto kTrialsReply = [](auto& io, auto& trials) {
+  io.Literal("trialsreply");
+  io.Each("n", trials, kCarried);
+};
+
+constexpr auto kStepped = [](auto& io, auto& progressed) {
+  io.Literal("stepped");
+  io.Field("progressed", progressed);
+};
+
+constexpr auto kStatusReply = [](auto& io, auto& status) {
+  io.Literal("statusreply");
+  kStatus(io, status);
+};
+
+constexpr auto kStatusList = [](auto& io, auto& list) {
+  io.Literal("statuslist");
+  io.Each("n", list, kStatus);
+};
+
+constexpr auto kCheckpointReply = [](auto& io, auto& checkpoint) {
+  io.Literal("checkpointreply");
+  io.Field("checkpoint", checkpoint);
+};
+
+constexpr auto kClosed = [](auto& io, auto& result) {
+  io.Literal("closed");
+  io.Field("iterations", result.iterations_run);
+  io.Field("best", result.best_performance);
+  io.Field("default", result.default_performance);
+};
+
+constexpr auto kPendingReply = [](auto& io, auto& next_trial_id,
+                                  auto& trials) {
+  io.Literal("pendingreply");
+  io.Field("next", next_trial_id);
+  io.Each("n", trials, kCarried);
+};
+
+constexpr auto kHealth = [](auto& io, auto& health) {
+  io.Literal("health");
+  io.Enum("lifecycle", health.lifecycle, ServerLifecycle::kStopped);
+  io.Field("pending", health.pending_requests);
+  io.Field("sessions", health.sessions);
+};
+
+constexpr auto kStats = [](auto& io, auto& stats) {
+  io.Literal("stats");
+  io.Enum("lifecycle", stats.lifecycle, ServerLifecycle::kStopped);
+  io.Field("pending", stats.pending_requests);
+  io.Field("pendingexp", stats.pending_expensive);
+  io.Field("sessions", stats.sessions);
+  io.Field("busy", stats.busy_rejections);
+  io.Field("shedover", stats.shed_overload);
+  io.Field("shedddl", stats.shed_deadline);
+  io.Field("evicted", stats.sessions_evicted);
+  io.Field("autosaves", stats.autosaves_written);
+  io.Field("restored", stats.sessions_restored);
+  io.Each("tenants", stats.tenant_sessions, [](auto& io, auto& tenant) {
+    io.Value(tenant.first);
+    io.Value(tenant.second);
+  });
+};
+
+/// Decodes a single-value payload.
+template <class T, class Fields>
+Result<T> Decode(const std::string& payload, Fields fields) {
+  T value{};
+  Status status = ReadTokens(payload, fields, value);
+  if (!status.ok()) return status;
+  return value;
 }
 
 }  // namespace
 
 std::string EncodeHello(const std::string& tenant) {
-  std::ostringstream out;
-  out << "hello";
-  PutStr(&out, "tenant", tenant);
-  return out.str();
+  return WriteTokens(kHello, tenant);
 }
 
 Result<std::string> DecodeHello(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "hello") {
-    return Status::InvalidArgument("wire: expected 'hello' payload");
-  }
-  return GetStr(&in, "tenant");
+  return Decode<std::string>(payload, kHello);
 }
 
 std::string EncodeSessionSpec(const WireSessionSpec& spec) {
-  std::ostringstream out;
-  out << "specdoc";
-  EncodeSpecInto(&out, spec);
-  return out.str();
+  return WriteTokens(kSpecDoc, spec);
 }
 
 Result<WireSessionSpec> DecodeSessionSpec(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "specdoc") {
-    return Status::InvalidArgument("wire: expected 'specdoc' payload");
-  }
-  return DecodeSpecFrom(&in);
+  return Decode<WireSessionSpec>(payload, kSpecDoc);
 }
 
 std::string EncodeCreateSession(const std::string& name,
                                 const WireSessionSpec& spec) {
-  std::ostringstream out;
-  out << "create";
-  PutStr(&out, "name", name);
-  EncodeSpecInto(&out, spec);
-  return out.str();
+  return WriteTokens(kCreate, name, spec);
 }
 
 Status DecodeCreateSession(const std::string& payload, std::string* name,
                            WireSessionSpec* spec) {
-  std::istringstream in(payload);
-  Result<std::string> got_name = DecodeHeaderName(&in, "create");
-  if (!got_name.ok()) return got_name.status();
-  Result<WireSessionSpec> got_spec = DecodeSpecFrom(&in);
-  if (!got_spec.ok()) return got_spec.status();
-  *name = *got_name;
-  *spec = std::move(got_spec).ValueOrDie();
-  return Status::OK();
+  return ReadTokens(payload, kCreate, *name, *spec);
 }
 
 std::string EncodeResume(const std::string& name, const WireSessionSpec& spec,
                          const std::string& checkpoint) {
-  std::ostringstream out;
-  out << "resume";
-  PutStr(&out, "name", name);
-  PutStr(&out, "checkpoint", checkpoint);
-  EncodeSpecInto(&out, spec);
-  return out.str();
+  return WriteTokens(kResume, name, spec, checkpoint);
 }
 
 Status DecodeResume(const std::string& payload, std::string* name,
                     WireSessionSpec* spec, std::string* checkpoint) {
-  std::istringstream in(payload);
-  Result<std::string> got_name = DecodeHeaderName(&in, "resume");
-  if (!got_name.ok()) return got_name.status();
-  Result<std::string> got_checkpoint = GetStr(&in, "checkpoint");
-  if (!got_checkpoint.ok()) return got_checkpoint.status();
-  Result<WireSessionSpec> got_spec = DecodeSpecFrom(&in);
-  if (!got_spec.ok()) return got_spec.status();
-  *name = *got_name;
-  *checkpoint = std::move(got_checkpoint).ValueOrDie();
-  *spec = std::move(got_spec).ValueOrDie();
-  return Status::OK();
+  return ReadTokens(payload, kResume, *name, *spec, *checkpoint);
 }
 
 std::string EncodeNameOnly(const std::string& name) {
-  std::ostringstream out;
-  out << "session";
-  PutStr(&out, "name", name);
-  return out.str();
+  return WriteTokens(kNameOnly, name);
 }
 
 Result<std::string> DecodeNameOnly(const std::string& payload) {
-  std::istringstream in(payload);
-  return DecodeHeaderName(&in, "session");
+  return Decode<std::string>(payload, kNameOnly);
 }
 
 std::string EncodeAskBatch(const std::string& name, int n) {
-  std::ostringstream out;
-  out << "askbatch";
-  PutStr(&out, "name", name);
-  PutInt(&out, "n", n);
-  return out.str();
+  return WriteTokens(kAskBatch, name, n);
 }
 
 Status DecodeAskBatch(const std::string& payload, std::string* name, int* n) {
-  std::istringstream in(payload);
-  Result<std::string> got_name = DecodeHeaderName(&in, "askbatch");
-  if (!got_name.ok()) return got_name.status();
-  Result<int64_t> got_n = GetInt(&in, "n");
-  if (!got_n.ok()) return got_n.status();
-  *name = *got_name;
-  *n = static_cast<int>(*got_n);
-  return Status::OK();
+  return ReadTokens(payload, kAskBatch, *name, *n);
 }
 
 std::string EncodeTell(const std::string& name, const TrialResult& result) {
-  std::ostringstream out;
-  out << "tell";
-  PutStr(&out, "name", name);
-  PutStr(&out, "result", SerializeTrialResult(result));
-  return out.str();
+  return WriteTokens(kTell, name, result);
 }
 
 Status DecodeTell(const std::string& payload, std::string* name,
                   TrialResult* result) {
-  std::istringstream in(payload);
-  Result<std::string> got_name = DecodeHeaderName(&in, "tell");
-  if (!got_name.ok()) return got_name.status();
-  Result<std::string> line = GetStr(&in, "result");
-  if (!line.ok()) return line.status();
-  Result<TrialResult> got_result = ParseTrialResult(*line);
-  if (!got_result.ok()) return got_result.status();
-  *name = *got_name;
-  *result = std::move(got_result).ValueOrDie();
-  return Status::OK();
+  return ReadTokens(payload, kTell, *name, *result);
 }
 
 std::string EncodeTellBatch(const std::string& name,
                             const std::vector<TrialResult>& results) {
-  std::ostringstream out;
-  out << "tellbatch";
-  PutStr(&out, "name", name);
-  PutInt(&out, "n", static_cast<int64_t>(results.size()));
-  for (const TrialResult& result : results) {
-    out << " x" << EncodeBytes(SerializeTrialResult(result));
-  }
-  return out.str();
+  return WriteTokens(kTellBatch, name, results);
 }
 
 Status DecodeTellBatch(const std::string& payload, std::string* name,
                        std::vector<TrialResult>* results) {
-  std::istringstream in(payload);
-  Result<std::string> got_name = DecodeHeaderName(&in, "tellbatch");
-  if (!got_name.ok()) return got_name.status();
-  Result<int64_t> n = GetInt(&in, "n");
-  if (!n.ok()) return n.status();
-  std::vector<TrialResult> out;
-  out.reserve(ClampReserve(*n));
-  for (int64_t i = 0; i < *n; ++i) {
-    std::string token;
-    if (!(in >> token) || token.empty() || token[0] != 'x') {
-      return Status::InvalidArgument("wire: truncated tellbatch results");
-    }
-    Result<std::string> line = DecodeBytes(token.substr(1));
-    if (!line.ok()) return line.status();
-    Result<TrialResult> result = ParseTrialResult(*line);
-    if (!result.ok()) return result.status();
-    out.push_back(std::move(result).ValueOrDie());
-  }
-  *name = *got_name;
-  *results = std::move(out);
-  return Status::OK();
+  return ReadTokens(payload, kTellBatch, *name, *results);
 }
 
 std::string EncodeError(WireError code, const std::string& message,
                         int64_t retry_after_ms) {
-  std::ostringstream out;
-  out << "error";
-  PutInt(&out, "code", static_cast<int>(code));
-  PutStr(&out, "message", message);
-  // Optional trailing hint: pre-hint decoders stop after 'message' and
-  // never see it (the append-only payload evolution rule).
-  if (retry_after_ms > 0) PutInt(&out, "retryms", retry_after_ms);
-  return out.str();
+  return WriteTokens(kError, static_cast<int>(code), message,
+                     std::max<int64_t>(retry_after_ms, 0));
 }
 
 Status DecodeError(const std::string& payload, WireError* code,
                    std::string* message, int64_t* retry_after_ms) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "error") {
-    return Status::InvalidArgument("wire: expected 'error' payload");
-  }
-  Result<int64_t> got_code = GetInt(&in, "code");
-  if (!got_code.ok()) return got_code.status();
-  Result<std::string> got_message = GetStr(&in, "message");
-  if (!got_message.ok()) return got_message.status();
-  if (retry_after_ms != nullptr) {
-    *retry_after_ms = 0;
-    Result<int64_t> hint = GetInt(&in, "retryms");
-    if (hint.ok() && *hint > 0) *retry_after_ms = *hint;
-  }
-  *code = static_cast<WireError>(*got_code);
-  *message = *got_message;
+  int raw_code = 0;
+  int64_t retry = 0;
+  Status status = ReadTokens(payload, kError, raw_code, *message, retry);
+  if (!status.ok()) return status;
+  *code = static_cast<WireError>(raw_code);
+  if (retry_after_ms != nullptr) *retry_after_ms = std::max<int64_t>(retry, 0);
   return Status::OK();
 }
 
 std::string EncodeTrialReply(const Trial& trial) {
-  std::ostringstream out;
-  out << "trialreply";
-  PutStr(&out, "trial", SerializeTrial(trial));
-  return out.str();
+  return WriteTokens(kTrialReply, trial);
 }
 
 Result<Trial> DecodeTrialReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "trialreply") {
-    return Status::InvalidArgument("wire: expected 'trialreply' payload");
-  }
-  Result<std::string> line = GetStr(&in, "trial");
-  if (!line.ok()) return line.status();
-  return ParseTrial(*line);
+  return Decode<Trial>(payload, kTrialReply);
 }
 
 std::string EncodeTrialsReply(const std::vector<Trial>& trials) {
-  std::ostringstream out;
-  out << "trialsreply";
-  PutInt(&out, "n", static_cast<int64_t>(trials.size()));
-  for (const Trial& trial : trials) {
-    out << " x" << EncodeBytes(SerializeTrial(trial));
-  }
-  return out.str();
+  return WriteTokens(kTrialsReply, trials);
 }
 
 Result<std::vector<Trial>> DecodeTrialsReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "trialsreply") {
-    return Status::InvalidArgument("wire: expected 'trialsreply' payload");
-  }
-  Result<int64_t> n = GetInt(&in, "n");
-  if (!n.ok()) return n.status();
-  std::vector<Trial> trials;
-  trials.reserve(ClampReserve(*n));
-  for (int64_t i = 0; i < *n; ++i) {
-    std::string token;
-    if (!(in >> token) || token.empty() || token[0] != 'x') {
-      return Status::InvalidArgument("wire: truncated trials reply");
-    }
-    Result<std::string> line = DecodeBytes(token.substr(1));
-    if (!line.ok()) return line.status();
-    Result<Trial> trial = ParseTrial(*line);
-    if (!trial.ok()) return trial.status();
-    trials.push_back(std::move(trial).ValueOrDie());
-  }
-  return trials;
+  return Decode<std::vector<Trial>>(payload, kTrialsReply);
 }
 
 std::string EncodeSteppedReply(bool progressed) {
-  std::ostringstream out;
-  out << "stepped";
-  PutBool(&out, "progressed", progressed);
-  return out.str();
+  return WriteTokens(kStepped, progressed);
 }
 
 Result<bool> DecodeSteppedReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "stepped") {
-    return Status::InvalidArgument("wire: expected 'stepped' payload");
-  }
-  return GetBool(&in, "progressed");
+  return Decode<bool>(payload, kStepped);
 }
 
 std::string EncodeStatusReply(const WireSessionStatus& status) {
-  std::ostringstream out;
-  out << "statusreply";
-  EncodeStatusInto(&out, status);
-  return out.str();
+  return WriteTokens(kStatusReply, status);
 }
 
 Result<WireSessionStatus> DecodeStatusReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "statusreply") {
-    return Status::InvalidArgument("wire: expected 'statusreply' payload");
-  }
-  return DecodeStatusFrom(&in);
+  return Decode<WireSessionStatus>(payload, kStatusReply);
 }
 
 std::string EncodeStatusListReply(const std::vector<WireSessionStatus>& list) {
-  std::ostringstream out;
-  out << "statuslist";
-  PutInt(&out, "n", static_cast<int64_t>(list.size()));
-  for (const WireSessionStatus& status : list) {
-    EncodeStatusInto(&out, status);
-  }
-  return out.str();
+  return WriteTokens(kStatusList, list);
 }
 
 Result<std::vector<WireSessionStatus>> DecodeStatusListReply(
     const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "statuslist") {
-    return Status::InvalidArgument("wire: expected 'statuslist' payload");
-  }
-  Result<int64_t> n = GetInt(&in, "n");
-  if (!n.ok()) return n.status();
-  std::vector<WireSessionStatus> list;
-  list.reserve(ClampReserve(*n));
-  for (int64_t i = 0; i < *n; ++i) {
-    Result<WireSessionStatus> status = DecodeStatusFrom(&in);
-    if (!status.ok()) return status.status();
-    list.push_back(std::move(status).ValueOrDie());
-  }
-  return list;
+  return Decode<std::vector<WireSessionStatus>>(payload, kStatusList);
 }
 
 std::string EncodeCheckpointReply(const std::string& checkpoint) {
-  std::ostringstream out;
-  out << "checkpointreply";
-  PutStr(&out, "checkpoint", checkpoint);
-  return out.str();
+  return WriteTokens(kCheckpointReply, checkpoint);
 }
 
 Result<std::string> DecodeCheckpointReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "checkpointreply") {
-    return Status::InvalidArgument("wire: expected 'checkpointreply' payload");
-  }
-  return GetStr(&in, "checkpoint");
+  return Decode<std::string>(payload, kCheckpointReply);
 }
 
 std::string EncodeClosedReply(const WireCloseResult& result) {
-  std::ostringstream out;
-  out << "closed";
-  PutInt(&out, "iterations", result.iterations_run);
-  PutBits(&out, "best", result.best_performance);
-  PutBits(&out, "default", result.default_performance);
-  return out.str();
+  return WriteTokens(kClosed, result);
 }
 
 Result<WireCloseResult> DecodeClosedReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "closed") {
-    return Status::InvalidArgument("wire: expected 'closed' payload");
-  }
-  WireCloseResult result;
-  Result<int64_t> iterations = GetInt(&in, "iterations");
-  if (!iterations.ok()) return iterations.status();
-  result.iterations_run = static_cast<int>(*iterations);
-  Result<double> best = GetBits(&in, "best");
-  if (!best.ok()) return best.status();
-  result.best_performance = *best;
-  Result<double> default_performance = GetBits(&in, "default");
-  if (!default_performance.ok()) return default_performance.status();
-  result.default_performance = *default_performance;
-  return result;
+  return Decode<WireCloseResult>(payload, kClosed);
 }
 
 std::string EncodePendingReply(int64_t next_trial_id,
                                const std::vector<Trial>& trials) {
-  std::ostringstream out;
-  out << "pendingreply";
-  PutInt(&out, "next", next_trial_id);
-  PutInt(&out, "n", static_cast<int64_t>(trials.size()));
-  for (const Trial& trial : trials) {
-    out << " x" << EncodeBytes(SerializeTrial(trial));
-  }
-  return out.str();
+  return WriteTokens(kPendingReply, next_trial_id, trials);
 }
 
 Status DecodePendingReply(const std::string& payload, int64_t* next_trial_id,
                           std::vector<Trial>* trials) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "pendingreply") {
-    return Status::InvalidArgument("wire: expected 'pendingreply' payload");
-  }
-  Result<int64_t> next = GetInt(&in, "next");
-  if (!next.ok()) return next.status();
-  Result<int64_t> n = GetInt(&in, "n");
-  if (!n.ok()) return n.status();
-  std::vector<Trial> out;
-  out.reserve(ClampReserve(*n));
-  for (int64_t i = 0; i < *n; ++i) {
-    std::string token;
-    if (!(in >> token) || token.empty() || token[0] != 'x') {
-      return Status::InvalidArgument("wire: truncated pending reply");
-    }
-    Result<std::string> line = DecodeBytes(token.substr(1));
-    if (!line.ok()) return line.status();
-    Result<Trial> trial = ParseTrial(*line);
-    if (!trial.ok()) return trial.status();
-    out.push_back(std::move(trial).ValueOrDie());
-  }
-  *next_trial_id = *next;
-  *trials = std::move(out);
-  return Status::OK();
+  return ReadTokens(payload, kPendingReply, *next_trial_id, *trials);
 }
-
-namespace {
-
-Result<ServerLifecycle> GetLifecycle(std::istringstream* in) {
-  Result<int64_t> raw = GetInt(in, "lifecycle");
-  if (!raw.ok()) return raw.status();
-  if (*raw < 0 || *raw > static_cast<int64_t>(ServerLifecycle::kStopped)) {
-    return Status::InvalidArgument("wire: unknown lifecycle state");
-  }
-  return static_cast<ServerLifecycle>(*raw);
-}
-
-}  // namespace
 
 std::string EncodeHealthReply(const WireServerHealth& health) {
-  std::ostringstream out;
-  out << "health";
-  PutInt(&out, "lifecycle", static_cast<int>(health.lifecycle));
-  PutInt(&out, "pending", health.pending_requests);
-  PutInt(&out, "sessions", health.sessions);
-  return out.str();
+  return WriteTokens(kHealth, health);
 }
 
 Result<WireServerHealth> DecodeHealthReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "health") {
-    return Status::InvalidArgument("wire: expected 'health' payload");
-  }
-  WireServerHealth health;
-  Result<ServerLifecycle> lifecycle = GetLifecycle(&in);
-  if (!lifecycle.ok()) return lifecycle.status();
-  health.lifecycle = *lifecycle;
-  Result<int64_t> pending = GetInt(&in, "pending");
-  if (!pending.ok()) return pending.status();
-  health.pending_requests = *pending;
-  Result<int64_t> sessions = GetInt(&in, "sessions");
-  if (!sessions.ok()) return sessions.status();
-  health.sessions = *sessions;
-  return health;
+  return Decode<WireServerHealth>(payload, kHealth);
 }
 
 std::string EncodeStatsReply(const WireServerStats& stats) {
-  std::ostringstream out;
-  out << "stats";
-  PutInt(&out, "lifecycle", static_cast<int>(stats.lifecycle));
-  PutInt(&out, "pending", stats.pending_requests);
-  PutInt(&out, "pendingexp", stats.pending_expensive);
-  PutInt(&out, "sessions", stats.sessions);
-  PutInt(&out, "busy", stats.busy_rejections);
-  PutInt(&out, "shedover", stats.shed_overload);
-  PutInt(&out, "shedddl", stats.shed_deadline);
-  PutInt(&out, "evicted", stats.sessions_evicted);
-  PutInt(&out, "autosaves", stats.autosaves_written);
-  PutInt(&out, "restored", stats.sessions_restored);
-  PutInt(&out, "tenants", static_cast<int64_t>(stats.tenant_sessions.size()));
-  for (const auto& [tenant, count] : stats.tenant_sessions) {
-    out << " x" << EncodeBytes(tenant) << ' ' << count;
-  }
-  return out.str();
+  return WriteTokens(kStats, stats);
 }
 
 Result<WireServerStats> DecodeStatsReply(const std::string& payload) {
-  std::istringstream in(payload);
-  std::string tag;
-  if (!(in >> tag) || tag != "stats") {
-    return Status::InvalidArgument("wire: expected 'stats' payload");
-  }
-  WireServerStats stats;
-  Result<ServerLifecycle> lifecycle = GetLifecycle(&in);
-  if (!lifecycle.ok()) return lifecycle.status();
-  stats.lifecycle = *lifecycle;
-  struct Field {
-    const char* tag;
-    int64_t* dst;
-  };
-  const Field fields[] = {
-      {"pending", &stats.pending_requests},
-      {"pendingexp", &stats.pending_expensive},
-      {"sessions", &stats.sessions},
-      {"busy", &stats.busy_rejections},
-      {"shedover", &stats.shed_overload},
-      {"shedddl", &stats.shed_deadline},
-      {"evicted", &stats.sessions_evicted},
-      {"autosaves", &stats.autosaves_written},
-      {"restored", &stats.sessions_restored},
-  };
-  for (const Field& field : fields) {
-    Result<int64_t> value = GetInt(&in, field.tag);
-    if (!value.ok()) return value.status();
-    *field.dst = *value;
-  }
-  Result<int64_t> tenants = GetInt(&in, "tenants");
-  if (!tenants.ok()) return tenants.status();
-  stats.tenant_sessions.reserve(ClampReserve(*tenants));
-  for (int64_t i = 0; i < *tenants; ++i) {
-    std::string token, count_token;
-    if (!(in >> token >> count_token) || token.empty() || token[0] != 'x') {
-      return Status::InvalidArgument("wire: truncated tenant stats");
-    }
-    Result<std::string> tenant = DecodeBytes(token.substr(1));
-    if (!tenant.ok()) return tenant.status();
-    Result<int64_t> count = ParseInt64(count_token);
-    if (!count.ok()) return count.status();
-    stats.tenant_sessions.emplace_back(*tenant, *count);
-  }
-  return stats;
+  return Decode<WireServerStats>(payload, kStats);
 }
 
 void AppendDeadlineRider(std::string* payload, int64_t deadline_ms) {
-  if (deadline_ms <= 0) return;
-  std::ostringstream out;
-  PutInt(&out, "ddl", deadline_ms);
-  *payload += out.str();
+  if (deadline_ms > 0) *payload += " ddl " + std::to_string(deadline_ms);
 }
 
 int64_t DeadlineRiderMs(const std::string& payload) {
@@ -950,11 +498,11 @@ int64_t DeadlineRiderMs(const std::string& payload) {
   if (tag_end == std::string::npos) return 0;
   size_t tag_start = payload.find_last_of(" \t\n", tag_end);
   size_t tag_from = tag_start == std::string::npos ? 0 : tag_start + 1;
-  if (payload.compare(tag_from, tag_end - tag_from + 1, "ddl") != 0) return 0;
-  Result<int64_t> value =
-      ParseInt64(payload.substr(value_start + 1, end - value_start));
-  if (!value.ok() || *value <= 0) return 0;
-  return *value;
+  TokenReader in(std::string_view(payload).substr(tag_from));
+  int64_t deadline_ms = 0;
+  in.Field("ddl", deadline_ms);
+  in.End();
+  return in.ok() && deadline_ms > 0 ? deadline_ms : 0;
 }
 
 }  // namespace net

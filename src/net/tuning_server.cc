@@ -14,12 +14,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/common/fault_injection.h"
+#include "src/common/file_io.h"
 #include "src/common/serde.h"
 #include "src/common/thread_pool.h"
 #include "src/dbsim/workloads.h"
@@ -98,15 +98,13 @@ uint64_t Mix64(uint64_t x) {
 /// so files with and without the token both decode). Recovers the
 /// owning tenant; pre-token files yield "".
 std::string TenantFromAutosaveHeader(const std::string& header) {
-  std::istringstream in(header);
-  std::vector<std::string> tokens;
-  std::string token;
-  while (in >> token) tokens.push_back(token);
-  if (tokens.size() < 2 || tokens[tokens.size() - 2] != "tenant") return "";
-  const std::string& value = tokens.back();
-  if (value.empty() || value[0] != 'x') return "";
-  Result<std::string> tenant = DecodeBytes(value.substr(1));
-  return tenant.ok() ? *tenant : "";
+  size_t tenant = header.rfind(" tenant ");
+  if (tenant == std::string::npos) return "";
+  TokenReader in(std::string_view(header).substr(tenant));
+  std::string name;
+  in.Field("tenant", name);
+  in.End();
+  return in.ok() ? name : "";
 }
 
 }  // namespace
@@ -900,14 +898,14 @@ Status TuningServer::ReplayWal(const std::string& name) {
       service::TrialWal::ReadRecords(WalPath(name));
   if (!records.ok()) return records.status();
   for (const std::string& record : *records) {
-    std::istringstream in(record);
-    std::string op;
-    if (!(in >> op)) break;
+    TokenReader in(record);
+    std::string_view op = in.Next();
     if (op == "ask1" || op == "askb") {
-      int64_t requested = 1;
-      if (op == "askb" && !(in >> requested)) break;
+      int requested = 1;
+      if (op == "askb") in.Value(requested);
       int64_t first_id = 0;
-      if (!(in >> first_id)) break;
+      in.Value(first_id);
+      if (!in.ok()) break;
       Result<int64_t> next = service_.NextTrialId(name);
       if (!next.ok()) return next.status();
       // Rounds commit whole, so the restored cursor always sits on a
@@ -926,8 +924,7 @@ Status TuningServer::ReplayWal(const std::string& name) {
                                   std::to_string(first_id));
         }
       } else {
-        Result<std::vector<Trial>> trials =
-            service_.AskBatch(name, static_cast<int>(requested));
+        Result<std::vector<Trial>> trials = service_.AskBatch(name, requested);
         if (!trials.ok()) return trials.status();
         if (trials->empty() || trials->front().id != first_id) {
           return Status::Internal(
@@ -936,11 +933,10 @@ Status TuningServer::ReplayWal(const std::string& name) {
         }
       }
     } else if (op == "tell") {
-      std::string token;
-      if (!(in >> token) || token.empty() || token[0] != 'x') break;
-      Result<std::string> line = DecodeBytes(token.substr(1));
-      if (!line.ok()) break;
-      Result<TrialResult> result = ParseTrialResult(*line);
+      std::string line;
+      in.Value(line);
+      if (!in.ok()) break;
+      Result<TrialResult> result = ParseTrialResult(line);
       if (!result.ok()) break;
       Status told = service_.Tell(name, *result);
       // AlreadyExists: the autosave checkpoint had committed this
@@ -952,7 +948,8 @@ Status TuningServer::ReplayWal(const std::string& name) {
       }
     } else if (op == "expire") {
       int64_t id = 0;
-      if (!(in >> id)) break;
+      in.Value(id);
+      if (!in.ok()) break;
       Status expired = service_.Expire(name, id);
       // AlreadyExists: the trial committed before this stale record.
       if (!expired.ok() && expired.code() != StatusCode::kAlreadyExists) {
@@ -960,7 +957,8 @@ Status TuningServer::ReplayWal(const std::string& name) {
       }
     } else if (op == "step") {
       int64_t iters_before = 0;
-      if (!(in >> iters_before)) break;
+      in.Value(iters_before);
+      if (!in.ok()) break;
       Result<service::SessionStatus> status = service_.GetStatus(name);
       if (!status.ok()) return status.status();
       if (status->iterations_run > iters_before) continue;
@@ -1032,13 +1030,11 @@ Status TuningServer::ResumeSavedSession(const std::string& name,
   if (options_.autosave_dir.empty()) {
     return Status::FailedPrecondition("server: autosave is not configured");
   }
-  std::ifstream in(AutosavePath(name), std::ios::binary);
-  if (!in) {
+  Result<std::string> content = ReadFile(AutosavePath(name));
+  if (!content.ok()) {
     return Status::NotFound("server: no autosave for session '" + name + "'");
   }
-  std::ostringstream content;
-  content << in.rdbuf();
-  std::string text = content.str();
+  const std::string& text = *content;
   size_t newline = text.find('\n');
   if (newline == std::string::npos) {
     return Status::Internal("server: corrupt autosave for '" + name + "'");
@@ -1094,9 +1090,11 @@ void TuningServer::ResumeSavedStartupSweep() {
             0) {
       continue;
     }
-    Result<std::string> name =
-        DecodeBytes(file.substr(0, file.size() - suffix.size()));
-    if (name.ok()) names.push_back(*name);
+    TokenReader in(
+        std::string_view(file).substr(0, file.size() - suffix.size()));
+    std::string name;
+    in.Hex(name);
+    if (in.ok()) names.push_back(std::move(name));
   }
   ::closedir(dir);
   // Directory order is filesystem-dependent; sorted order makes the
@@ -1262,37 +1260,28 @@ Status TuningServer::AutosaveSession(const std::string& name,
   if (!checkpoint.ok()) return checkpoint.status();
   Result<service::SessionStatus> status = service_.GetStatus(name);
   if (!status.ok()) return status.status();
-  std::string path = AutosavePath(name);
-  std::string tmp = path + ".tmp";
   // The tenant rides as a trailing token on the spec line so a
   // hot-restart sweep can rebuild ownership; DecodeSessionSpec stops
   // at the spec, so pre-token readers still load the file.
   std::string content = EncodeSessionSpec(meta->spec) + " tenant x" +
                         EncodeBytes(meta->tenant) + '\n' + *checkpoint;
-  // Chaos hook: die mid-write — half the bytes land in the tmp file
-  // and the rename never happens. The previous autosave must stay
-  // untouched and fully loadable (this is what tmp+rename buys).
-  if (FaultInjection::ShouldFail("autosave.torn")) {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size() / 2));
-    return Status::OK();
+  // Sweeps visit every live session on the event-loop thread and a
+  // durable write costs two fsyncs, so a file this server already
+  // wrote durably is rewritten only when its bytes change. Chaos hook
+  // "autosave.torn": die mid-write. The previous autosave must stay
+  // untouched and fully loadable, and the WAL untruncated.
+  const std::string path = AutosavePath(name);
+  auto unchanged = [&path, &content] {
+    Result<std::string> on_disk = ReadFile(path);
+    return on_disk.ok() && *on_disk == content;
+  };
+  if (!meta->autosave_durable || !unchanged()) {
+    meta->autosave_durable = false;
+    LT_RETURN_NOT_OK(
+        AtomicWriteFile(path, content, "autosave.torn",
+                        [this] { autosaves_written_.fetch_add(1); }));
+    meta->autosave_durable = true;
   }
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      return Status::Internal("server: cannot write autosave tmp " + tmp);
-    }
-    out << content;
-    if (!out.good()) {
-      return Status::Internal("server: short write to " + tmp);
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return Status::Internal(std::string("server: rename(): ") +
-                            std::strerror(errno));
-  }
-  autosaves_written_.fetch_add(1);
   // The WAL may only shrink once everything it describes is inside a
   // durable checkpoint. A pending trial's ask record is not — its
   // round is uncommitted — so any pending trial blocks truncation

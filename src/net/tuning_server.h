@@ -227,6 +227,9 @@ class TuningServer {
     /// order always matches the session's commit order. Taken before
     /// the service's per-session mutex; never the other way around.
     Mutex op_mu;
+    /// True once this server has durably written the session's
+    /// autosave file; an unchanged file is then not rewritten.
+    bool autosave_durable GUARDED_BY(op_mu) = false;
   };
   using MetaPtr = std::shared_ptr<SessionMeta>;
 

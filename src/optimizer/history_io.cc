@@ -1,8 +1,6 @@
 #include "src/optimizer/history_io.h"
 
-#include <algorithm>
 #include <cstring>
-#include <sstream>
 
 #include "src/common/serde.h"
 
@@ -14,56 +12,31 @@ bool BitsEqual(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
+/// One `obs <dim> <coord>... <value>` line.
+constexpr auto kObservation = [](auto& io, auto& obs) {
+  io.Literal("obs");
+  io.Value(obs.point);
+  io.Value(obs.value);
+  io.EndLine();
+};
+
 }  // namespace
 
 std::string SerializeHistory(const std::vector<Observation>& history) {
-  std::ostringstream out;
-  for (const Observation& obs : history) {
-    out << "obs " << obs.point.size();
-    for (double v : obs.point) out << ' ' << EncodeDoubleBits(v);
-    out << ' ' << EncodeDoubleBits(obs.value) << '\n';
-  }
-  return out.str();
+  TokenWriter out;
+  for (const Observation& obs : history) kObservation(out, obs);
+  return out.Take();
 }
 
 Result<std::vector<Observation>> ParseHistory(const std::string& text,
                                               int expected_count) {
-  std::istringstream in(text);
+  TokenReader in(text);
   std::vector<Observation> history;
-  // Clamped: counts come from untrusted text; oversized headers must
-  // fail via the truncated-stream checks, not throw bad_alloc.
-  history.reserve(std::min(std::max(expected_count, 0), 4096));
-  std::string tag;
-  while (in >> tag) {
-    if (tag != "obs") {
-      return Status::InvalidArgument("history: expected 'obs', got: " + tag);
-    }
-    std::string count_tok;
-    if (!(in >> count_tok)) {
-      return Status::InvalidArgument("history: truncated obs line");
-    }
-    Result<int64_t> dim = ParseInt64(count_tok);
-    if (!dim.ok()) return dim.status();
-    Observation obs;
-    obs.point.reserve(static_cast<size_t>(
-        std::min<int64_t>(std::max<int64_t>(*dim, 0), 4096)));
-    std::string token;
-    for (int64_t i = 0; i < *dim; ++i) {
-      if (!(in >> token)) {
-        return Status::InvalidArgument("history: truncated point");
-      }
-      Result<double> v = DecodeDoubleBits(token);
-      if (!v.ok()) return v.status();
-      obs.point.push_back(*v);
-    }
-    if (!(in >> token)) {
-      return Status::InvalidArgument("history: missing value");
-    }
-    Result<double> value = DecodeDoubleBits(token);
-    if (!value.ok()) return value.status();
-    obs.value = *value;
-    history.push_back(std::move(obs));
+  while (!in.AtEnd()) {
+    history.emplace_back();
+    kObservation(in, history.back());
   }
+  if (!in.ok()) return in.status();
   if (expected_count >= 0 &&
       static_cast<int>(history.size()) != expected_count) {
     return Status::InvalidArgument(

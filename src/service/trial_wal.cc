@@ -5,10 +5,9 @@
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 
 #include "src/common/fault_injection.h"
+#include "src/common/file_io.h"
 
 namespace llamatune {
 namespace service {
@@ -18,20 +17,6 @@ namespace {
 Status Errno(const std::string& what, const std::string& path) {
   return Status::Internal("TrialWal: " + what + " failed for '" + path +
                           "': " + std::strerror(errno));
-}
-
-// Writes all of `data`, retrying short writes and EINTR.
-bool WriteAllFd(int fd, const char* data, size_t size) {
-  size_t done = 0;
-  while (done < size) {
-    ssize_t n = ::write(fd, data + done, size - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<size_t>(n);
-  }
-  return true;
 }
 
 }  // namespace
@@ -56,11 +41,11 @@ Status TrialWal::Append(const std::string& record) {
     // The crash-interrupted append: a prefix lands, the newline does
     // not. Recovery must drop this record (and everything after it).
     size_t half = line.size() / 2;
-    WriteAllFd(fd_, line.data(), half);
+    WriteFully(fd_, line.data(), half);
     ::fsync(fd_);
     return Status::OK();
   }
-  if (!WriteAllFd(fd_, line.data(), line.size())) {
+  if (!WriteFully(fd_, line.data(), line.size())) {
     return Errno("write", path_);
   }
   if (::fsync(fd_) != 0) return Errno("fsync", path_);
@@ -86,11 +71,9 @@ void TrialWal::Close() {
 Result<std::vector<std::string>> TrialWal::ReadRecords(
     const std::string& path) {
   std::vector<std::string> records;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return records;  // no log: nothing to replay
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  std::string contents = buf.str();
+  Result<std::string> read = ReadFile(path);
+  if (!read.ok()) return records;  // no log: nothing to replay
+  const std::string& contents = *read;
   size_t pos = 0;
   while (pos < contents.size()) {
     size_t nl = contents.find('\n', pos);
