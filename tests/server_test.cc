@@ -6,6 +6,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <sstream>
@@ -14,12 +16,14 @@
 #include <vector>
 
 #include "src/common/fault_injection.h"
+#include "src/common/file_io.h"
 #include "src/common/serde.h"
 #include "src/knobs/config_space.h"
 #include "src/net/frame.h"
 #include "src/net/message.h"
 #include "src/net/tuning_client.h"
 #include "src/net/tuning_server.h"
+#include "src/service/trial_wal.h"
 #include "src/service/tuning_service.h"
 
 namespace llamatune {
@@ -889,6 +893,219 @@ TEST(ServerTest, ListSessionsOverWire) {
   ASSERT_EQ(list->size(), 2u);
   EXPECT_EQ((*list)[0].status.name, "a");
   EXPECT_EQ((*list)[1].status.name, "b");
+  server.Stop();
+}
+
+// ---------------------------------------------------------------------------
+// Golden WAL records: the literal lines every wire operation appends to a
+// session's trial WAL, and a literal autosave + WAL pair that must keep
+// resuming to a literal trajectory. A deliberate grammar change refreshes
+// the literals with
+//
+//   LLAMATUNE_PRINT_GOLDEN=1 ./server_test --gtest_filter='ServerWalGolden*'
+// ---------------------------------------------------------------------------
+
+std::string WalFile(const std::string& dir, const std::string& name) {
+  return dir + "/" + EncodeBytes(name) + ".wal";
+}
+
+void ExpectWalRecords(const std::string& path,
+                      const std::vector<std::string>& expected) {
+  Result<std::vector<std::string>> records = service::TrialWal::ReadRecords(path);
+  ASSERT_TRUE(records.ok());
+  if (std::getenv("LLAMATUNE_PRINT_GOLDEN") != nullptr) {
+    std::printf("// %s\n", path.c_str());
+    for (const std::string& record : *records) {
+      std::printf("\"%s\",\n", record.c_str());
+    }
+  }
+  EXPECT_EQ(*records, expected);
+}
+
+TrialResult Measured(int job, const Trial& trial) {
+  TrialResult result;
+  result.trial_id = trial.id;
+  result.value = ExternalMeasure(job, trial.config);
+  return result;
+}
+
+TEST(ServerWalGoldenTest, WireOperationsAppendLiteralRecords) {
+  TuningServerOptions options;
+  options.autosave_dir = FreshDir("walgolden");
+  TuningServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  TuningClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  // ask1 / tell / expire. The baseline never expires, so trial 2 is the
+  // only trial the sweep can expire, whichever sweep gets there first.
+  // The frozen autosave keeps the sweep from truncating the log.
+  WireSessionSpec expiring = ExternalWireSpec(0);
+  expiring.pending_deadline_ms = 1;
+  ASSERT_TRUE(client.CreateSession("expiring", expiring).ok());
+  Result<Trial> baseline = client.Ask("expiring");
+  ASSERT_TRUE(baseline.ok());
+  ASSERT_TRUE(client.Tell("expiring", Measured(0, *baseline)).ok());
+  Result<Trial> doomed = client.Ask("expiring");
+  ASSERT_TRUE(doomed.ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(FaultInjection::Configure("autosave.torn=p1"));
+  server.RunMaintenance();
+  FaultInjection::Reset();
+  EXPECT_EQ(client.Tell("expiring", Measured(0, *doomed)).code(),
+            StatusCode::kTrialExpired);
+  ExpectWalRecords(
+      WalFile(options.autosave_dir, "expiring"),
+      {
+          "ask1 1",
+          "tell x726573756c74203120302034303838333830303030303030303030206d6574"
+          "726963732030",
+          "ask1 2",
+          "expire 2",
+      });
+
+  // askb records the requested size; a batch tell logs one record per
+  // result.
+  WireSessionSpec batched = ExternalWireSpec(1);
+  batched.batch_size = 3;
+  ASSERT_TRUE(client.CreateSession("batched", batched).ok());
+  Result<std::vector<Trial>> first = client.AskBatch("batched", 3);
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first->size(), 1u);
+  ASSERT_TRUE(client.TellBatch("batched", {Measured(1, (*first)[0])}).ok());
+  Result<std::vector<Trial>> second = client.AskBatch("batched", 3);
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second->size(), 3u);
+  ASSERT_TRUE(client
+                  .TellBatch("batched", {Measured(1, (*second)[0]),
+                                         Measured(1, (*second)[1])})
+                  .ok());
+  ExpectWalRecords(
+      WalFile(options.autosave_dir, "batched"),
+      {
+          "askb 3 1",
+          "tell x726573756c74203120302034303862396237306133643730613364206d6574"
+          "726963732030",
+          "askb 3 2",
+          "tell x726573756c74203220302034303739396133326161613930636532206d6574"
+          "726963732030",
+          "tell x726573756c74203320302034303861303363653662306433626464206d6574"
+          "726963732030",
+      });
+
+  // step records the iterations run before the step.
+  WireSessionSpec sim;
+  sim.workload = "YCSB-A";
+  sim.optimizer_key = "random";
+  sim.adapter_key = "llamatune";
+  sim.seed = 5;
+  sim.num_iterations = 6;
+  ASSERT_TRUE(client.CreateSession("sim", sim).ok());
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(client.Step("sim").ok());
+  // The first step runs the baseline, which is not a counted iteration.
+  ExpectWalRecords(WalFile(options.autosave_dir, "sim"),
+                   {"step 0", "step 0", "step 1"});
+  server.Stop();
+}
+
+TEST(ServerWalGoldenTest, LiteralAutosaveAndWalResumeToLiteralTrajectory) {
+  // Written by a server whose session "golden" (ExternalWireSpec(4),
+  // tenant "team-g") ran three rounds, was autosaved with trial 4
+  // pending (so the log kept every record), then ran two more rounds
+  // and asked trial 6.
+  const std::string autosave =
+      "specdoc spec 3 workload x knobs 2 knob name x63616368655f6d62 type 0 "
+      "min 0000000000000000 max 4059000000000000 log 0 default "
+      "4049000000000000 cats 0 specials 0 unit x knob name "
+      "x7461726765745f726174696f type 1 min 0000000000000000 max "
+      "3ff0000000000000 log 0 default 3fe0000000000000 cats 0 specials 0 "
+      "unit x maximize 1 optimizer x72616e646f6d adapter x6964656e74697479 "
+      "seed 104 iterations 12 batch 1 threads 0 deadline 0 racing 0 tenant "
+      "x7465616d2d67\n"
+      "llamatune-checkpoint v3\n"
+      "maximize 1\n"
+      "options 12 1 4010000000000000 4010000000000000 4010000000000000 0 0 "
+      "racing 0\n"
+      "state 2 3efd512f80000000\n"
+      "baseline 1 4090fab851eb851e 0\n"
+      "objective 0\n"
+      "clones -1\n"
+      "rounds 3\n"
+      "round D 1 1\n"
+      "round S 1 1\n"
+      "told 0 4086536b56171193 0\n"
+      "round S 1 1\n"
+      "told 0 408b45ea9eac974c 0\n"
+      "history 2\n"
+      "obs 2 3fef0a3d70a3d70a 3fc285652cbd5bdf 4086536b56171193\n"
+      "obs 2 3fe8f5c28f5c28f6 3fc8517a60ca651c 408b45ea9eac974c\n"
+      "end\n";
+  const std::string wal =
+      "ask1 1\n"
+      "tell x726573756c74203120302034303930666162383531656238353165206d65747269"
+      "63732030\n"
+      "ask1 2\n"
+      "tell x726573756c74203220302034303836353336623536313731313933206d65747269"
+      "63732030\n"
+      "ask1 3\n"
+      "tell x726573756c74203320302034303862343565613965616339373463206d65747269"
+      "63732030\n"
+      "ask1 4\n"
+      "tell x726573756c74203420302034303838613363613737313662333763206d65747269"
+      "63732030\n"
+      "ask1 5\n"
+      "tell x726573756c74203520302034303863386635343339383835343938206d65747269"
+      "63732030\n"
+      "ask1 6\n";
+  const std::string expected_trajectory =
+      "llamatune-checkpoint v3\n"
+      "maximize 1\n"
+      "options 12 1 4010000000000000 4010000000000000 4010000000000000 0 0 "
+      "racing 0\n"
+      "state 4 <wall-clock>\n"
+      "baseline 1 4090fab851eb851e 0\n"
+      "objective 0\n"
+      "clones -1\n"
+      "rounds 5\n"
+      "round D 1 1\n"
+      "round S 1 1\n"
+      "told 0 4086536b56171193 0\n"
+      "round S 1 1\n"
+      "told 0 408b45ea9eac974c 0\n"
+      "round S 1 1\n"
+      "told 0 4088a3ca7716b37c 0\n"
+      "round S 1 1\n"
+      "told 0 408c8f5439885498 0\n"
+      "history 4\n"
+      "obs 2 3fef0a3d70a3d70a 3fc285652cbd5bdf 4086536b56171193\n"
+      "obs 2 3fe8f5c28f5c28f6 3fc8517a60ca651c 408b45ea9eac974c\n"
+      "obs 2 3fed1eb851eb851f 3fc6f9dc08e914d7 4088a3ca7716b37c\n"
+      "obs 2 3feccccccccccccd 3febd4be1f94c631 408c8f5439885498\n"
+      "end\n";
+
+  TuningServerOptions options;
+  options.autosave_dir = FreshDir("walpair");
+  const std::string stem = options.autosave_dir + "/" + EncodeBytes("golden");
+  ASSERT_TRUE(AtomicWriteFile(stem + ".autosave", autosave).ok());
+  ASSERT_TRUE(AtomicWriteFile(stem + ".wal", wal).ok());
+  TuningServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  TuningClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(client.Hello("team-g").ok());
+  ASSERT_TRUE(client.ResumeSaved("golden").ok());
+
+  // Records 1-3 are inside the checkpoint (skipped, or AlreadyExists),
+  // 4 and 5 re-issue at the cursor, and trial 6 is pending again.
+  Result<std::string> checkpoint = client.Checkpoint("golden");
+  ASSERT_TRUE(checkpoint.ok());
+  EXPECT_EQ(Trajectory(*checkpoint), expected_trajectory);
+  int64_t next_id = 0;
+  Result<std::vector<Trial>> pending = client.GetPending("golden", &next_id);
+  ASSERT_TRUE(pending.ok());
+  ASSERT_EQ(pending->size(), 1u);
+  EXPECT_EQ((*pending)[0].id, 6);
+  EXPECT_EQ(next_id, 7);
   server.Stop();
 }
 
