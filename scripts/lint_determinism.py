@@ -46,6 +46,11 @@ Rules (see docs/static-analysis.md for the rationale table):
                   code outside src/common/serde — persisted and wire
                   text is decoded by a field list over TokenReader,
                   the one total, range-checked reader.
+  wal-outside-service
+                  TrialWal anywhere in src/ outside src/service/ — WAL
+                  records are appended only by TuningService, under
+                  the session lock, so the log order is the commit
+                  order.
 
 Escape hatch: a finding is suppressed when the offending line, or the
 line directly above it, carries `lint:allow(<rule>)` in a comment.
@@ -153,6 +158,14 @@ RULES = [
         "only": SERDE_PATHS + ("src/core/trial.", "src/core/running_stat."),
         "allow": ("src/common/serde.",),
         "why": "decode persisted/wire text with a TokenReader field list",
+    },
+    {
+        "name": "wal-outside-service",
+        "pattern": re.compile(r"\bTrialWal\b"),
+        "only": ("src/",),
+        "allow": ("src/service/",),
+        "why": "WAL records are appended only by the service, under the "
+               "session lock",
     },
 ]
 

@@ -61,6 +61,7 @@ class EndToEndTest(unittest.TestCase):
             ("src/bad_mutex.cc", "raw-mutex"),
             ("src/bad_thread.cc", "raw-thread"),
             ("src/net/bad_token_parse.cc", "raw-token-parse"),
+            ("src/net/bad_wal.cc", "wal-outside-service"),
         }
         self.assertEqual(expected, self.findings, self.proc.stdout)
 
@@ -75,6 +76,10 @@ class EndToEndTest(unittest.TestCase):
         self.assertNotIn("src/common/rng.cc", files)
         self.assertNotIn("src/common/sync.h", files)
         self.assertNotIn("src/common/serde.cc", files)
+
+    def test_service_may_own_the_wal(self):
+        files = {path for path, _ in self.findings}
+        self.assertNotIn("src/service/trial_wal.cc", files)
 
     def test_escape_hatch_suppresses(self):
         files = {path for path, _ in self.findings}

@@ -603,7 +603,9 @@ Status TuningSession::Tell(const TrialResult& result) {
   return Status::OK();
 }
 
-Status TuningSession::TellBatch(const std::vector<TrialResult>& results) {
+Status TuningSession::TellBatch(const std::vector<TrialResult>& results,
+                               size_t* told) {
+  if (told != nullptr) *told = 0;
   // Validate the whole batch before buffering anything: a non-finite
   // value in result k must not leave results [0, k) half-applied (the
   // caller would have to untangle which tells took).
@@ -617,6 +619,7 @@ Status TuningSession::TellBatch(const std::vector<TrialResult>& results) {
   }
   for (const TrialResult& result : results) {
     LT_RETURN_NOT_OK(Tell(result));
+    if (told != nullptr) ++*told;
   }
   return Status::OK();
 }

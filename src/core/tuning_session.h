@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -254,8 +255,11 @@ class TuningSession {
   /// class comment).
   Status Tell(const TrialResult& result);
 
-  /// Tells several results; stops at the first error.
-  Status TellBatch(const std::vector<TrialResult>& results);
+  /// Tells several results: validates the whole batch first (nothing
+  /// is told if any value is non-finite), then stops at the first
+  /// error. `told`, when set, receives how many results were told.
+  Status TellBatch(const std::vector<TrialResult>& results,
+                   size_t* told = nullptr);
 
   /// Expires one pending trial: its budget is reclaimed, the trial is
   /// dropped from its round without an observation, and a later Tell

@@ -262,7 +262,7 @@ void TuningServer::EventLoop() {
   int64_t next_evict =
       evict_period > 0 ? service::NowUnixMillis() + evict_period : INT64_MAX;
   // Pending-trial deadlines are swept on a fixed cadence; the sweep
-  // exits immediately when no wire session configured a deadline.
+  // skips, without locking, every session that configured no deadline.
   const int64_t expire_period = 200;
   int64_t next_expire = service::NowUnixMillis() + expire_period;
 
@@ -327,7 +327,7 @@ void TuningServer::EventLoop() {
       next_evict = now + evict_period;
     }
     if (now >= next_expire) {
-      ExpireSweep();
+      service_.ExpireOverdue(now);
       next_expire = now + expire_period;
     }
     if (rc == 0) continue;
@@ -424,11 +424,7 @@ void TuningServer::AdmitFrame(const ConnPtr& conn, Frame frame) {
     }
     return;
   }
-  std::string tenant;
-  {
-    MutexLock lock(conn->mu);
-    tenant = conn->tenant;
-  }
+  std::string tenant = conn->Tenant();
   if (expensive) {
     const int cap = ExpensiveCap();
     std::string why;
@@ -558,6 +554,11 @@ std::string TuningServer::ErrorReplyFrame(const Status& status) const {
       EncodeError(WireErrorFromStatus(status), status.message()));
 }
 
+std::string TuningServer::StatusReplyFrame(const Status& status) const {
+  return status.ok() ? EncodeFrame(MessageKind::kOk, "")
+                     : ErrorReplyFrame(status);
+}
+
 std::string TuningServer::OverloadedReplyFrame(const std::string& why) {
   return EncodeFrame(
       MessageKind::kError,
@@ -577,17 +578,28 @@ std::string TuningServer::HandleRequest(const ConnPtr& conn,
       return EncodeFrame(MessageKind::kOk, "");
     }
     case MessageKind::kCreateSession:
-    case MessageKind::kResume:
-      return HandleCreateOrResume(conn, frame);
+    case MessageKind::kResume: {
+      std::string name, checkpoint;
+      WireSessionSpec wire;
+      const bool create = frame.kind == MessageKind::kCreateSession;
+      Status parse =
+          create ? DecodeCreateSession(frame.payload, &name, &wire)
+                 : DecodeResume(frame.payload, &name, &wire, &checkpoint);
+      if (!parse.ok()) return MalformedReplyFrame(parse);
+      return StatusReplyFrame(AddSession(name, wire, conn->Tenant(),
+                                         create ? nullptr : &checkpoint,
+                                         false));
+    }
     case MessageKind::kResumeSaved: {
       Result<std::string> name = DecodeNameOnly(frame.payload);
       if (!name.ok()) return MalformedReplyFrame(name.status());
-      return HandleResumeSaved(conn, *name);
+      const std::string tenant = conn->Tenant();
+      return StatusReplyFrame(ResumeSavedSession(*name, &tenant));
     }
     case MessageKind::kAsk: {
       Result<std::string> name = DecodeNameOnly(frame.payload);
       if (!name.ok()) return MalformedReplyFrame(name.status());
-      Result<Trial> trial = DoAsk(*name);
+      Result<Trial> trial = service_.Ask(*name);
       if (!trial.ok()) return ErrorReplyFrame(trial.status());
       return EncodeFrame(MessageKind::kTrialReply, EncodeTrialReply(*trial));
     }
@@ -596,7 +608,7 @@ std::string TuningServer::HandleRequest(const ConnPtr& conn,
       int n = 0;
       Status parse = DecodeAskBatch(frame.payload, &name, &n);
       if (!parse.ok()) return MalformedReplyFrame(parse);
-      Result<std::vector<Trial>> trials = DoAskBatch(name, n);
+      Result<std::vector<Trial>> trials = service_.AskBatch(name, n);
       if (!trials.ok()) return ErrorReplyFrame(trials.status());
       return EncodeFrame(MessageKind::kTrialsReply,
                          EncodeTrialsReply(*trials));
@@ -606,24 +618,20 @@ std::string TuningServer::HandleRequest(const ConnPtr& conn,
       TrialResult result;
       Status parse = DecodeTell(frame.payload, &name, &result);
       if (!parse.ok()) return MalformedReplyFrame(parse);
-      Status told = DoTell(name, result);
-      if (!told.ok()) return ErrorReplyFrame(told);
-      return EncodeFrame(MessageKind::kOk, "");
+      return StatusReplyFrame(service_.Tell(name, result));
     }
     case MessageKind::kTellBatch: {
       std::string name;
       std::vector<TrialResult> results;
       Status parse = DecodeTellBatch(frame.payload, &name, &results);
       if (!parse.ok()) return MalformedReplyFrame(parse);
-      Status told = DoTellBatch(name, results);
-      if (!told.ok()) return ErrorReplyFrame(told);
-      return EncodeFrame(MessageKind::kOk, "");
+      return StatusReplyFrame(service_.TellBatch(name, results));
     }
     case MessageKind::kStep: {
       Result<std::string> name = DecodeNameOnly(frame.payload);
       if (!name.ok()) return MalformedReplyFrame(name.status());
       bool progressed = false;
-      Status stepped = DoStep(*name, &progressed);
+      Status stepped = service_.Step(*name, &progressed);
       if (!stepped.ok()) return ErrorReplyFrame(stepped);
       return EncodeFrame(MessageKind::kSteppedReply,
                          EncodeSteppedReply(progressed));
@@ -631,22 +639,11 @@ std::string TuningServer::HandleRequest(const ConnPtr& conn,
     case MessageKind::kGetPending: {
       Result<std::string> name = DecodeNameOnly(frame.payload);
       if (!name.ok()) return MalformedReplyFrame(name.status());
-      MetaPtr meta = FindMeta(*name);
-      auto snapshot = [&]() -> std::string {
-        Result<int64_t> next = service_.NextTrialId(*name);
-        if (!next.ok()) return ErrorReplyFrame(next.status());
-        Result<std::vector<Trial>> pending = service_.GetPending(*name);
-        if (!pending.ok()) return ErrorReplyFrame(pending.status());
-        return EncodeFrame(MessageKind::kPendingReply,
-                           EncodePendingReply(*next, *pending));
-      };
-      // Hold op_mu (when the session is wire-created) so the cursor
-      // and the pending list are one consistent snapshot.
-      if (meta != nullptr) {
-        MutexLock op_lock(meta->op_mu);
-        return snapshot();
-      }
-      return snapshot();
+      int64_t next = 0;
+      Result<std::vector<Trial>> pending = service_.GetPending(*name, &next);
+      if (!pending.ok()) return ErrorReplyFrame(pending.status());
+      return EncodeFrame(MessageKind::kPendingReply,
+                         EncodePendingReply(next, *pending));
     }
     case MessageKind::kStartDrive: {
       Result<std::string> name = DecodeNameOnly(frame.payload);
@@ -658,26 +655,15 @@ std::string TuningServer::HandleRequest(const ConnPtr& conn,
       if (!name.ok()) return MalformedReplyFrame(name.status());
       Result<service::SessionStatus> status = service_.GetStatus(*name);
       if (!status.ok()) return ErrorReplyFrame(status.status());
-      WireSessionStatus wire;
-      wire.status = *status;
-      {
-        MutexLock lock(meta_mu_);
-        auto it = metas_.find(*name);
-        if (it != metas_.end()) wire.driving = it->second->driving.load();
-      }
+      MetaPtr meta = MetaFor(*name);
+      WireSessionStatus wire{*status, meta != nullptr && meta->driving.load()};
       return EncodeFrame(MessageKind::kStatusReply, EncodeStatusReply(wire));
     }
     case MessageKind::kListSessions: {
-      std::vector<service::SessionStatus> statuses = service_.ListSessions();
       std::vector<WireSessionStatus> wire;
-      wire.reserve(statuses.size());
-      MutexLock lock(meta_mu_);
-      for (service::SessionStatus& status : statuses) {
-        WireSessionStatus w;
-        auto it = metas_.find(status.name);
-        if (it != metas_.end()) w.driving = it->second->driving.load();
-        w.status = std::move(status);
-        wire.push_back(std::move(w));
+      for (const service::SessionStatus& status : service_.ListSessions()) {
+        MetaPtr meta = MetaFor(status.name);
+        wire.push_back({status, meta != nullptr && meta->driving.load()});
       }
       return EncodeFrame(MessageKind::kStatusListReply,
                          EncodeStatusListReply(wire));
@@ -785,244 +771,26 @@ int64_t TuningServer::DrainRetryHintMs(int64_t now_unix_ms) const {
                            remaining);
 }
 
-TuningServer::MetaPtr TuningServer::FindMeta(const std::string& name) const {
-  MutexLock lock(meta_mu_);
-  auto it = metas_.find(name);
-  return it == metas_.end() ? nullptr : it->second;
-}
-
-Result<Trial> TuningServer::DoAsk(const std::string& name) {
-  MetaPtr meta = FindMeta(name);
-  if (meta == nullptr || !meta->wal.is_open()) return service_.Ask(name);
-  MutexLock lock(meta->op_mu);
-  Result<Trial> trial = service_.Ask(name);
-  if (trial.ok()) {
-    meta->wal.Append("ask1 " + std::to_string(trial->id)).ok();
-  }
-  return trial;
-}
-
-Result<std::vector<Trial>> TuningServer::DoAskBatch(const std::string& name,
-                                                    int n) {
-  MetaPtr meta = FindMeta(name);
-  if (meta == nullptr || !meta->wal.is_open()) {
-    return service_.AskBatch(name, n);
-  }
-  MutexLock lock(meta->op_mu);
-  Result<std::vector<Trial>> trials = service_.AskBatch(name, n);
-  if (trials.ok() && !trials->empty()) {
-    // Record the *request* (n), not the count handed out: replay must
-    // re-issue the identical call to draw the identical batch.
-    meta->wal
-        .Append("askb " + std::to_string(n) + " " +
-                std::to_string(trials->front().id))
-        .ok();
-  }
-  return trials;
-}
-
-Status TuningServer::DoTell(const std::string& name,
-                            const TrialResult& result) {
-  MetaPtr meta = FindMeta(name);
-  if (meta == nullptr || !meta->wal.is_open()) {
-    return service_.Tell(name, result);
-  }
-  MutexLock lock(meta->op_mu);
-  Status told = service_.Tell(name, result);
-  if (told.ok()) {
-    meta->wal.Append("tell x" + EncodeBytes(SerializeTrialResult(result)))
-        .ok();
-  }
-  return told;
-}
-
-Status TuningServer::DoTellBatch(const std::string& name,
-                                 const std::vector<TrialResult>& results) {
-  MetaPtr meta = FindMeta(name);
-  if (meta == nullptr || !meta->wal.is_open()) {
-    return service_.TellBatch(name, results);
-  }
-  // TellBatch is defined as a sequential Tell loop (first error wins,
-  // earlier results stay committed), so logging per result keeps the
-  // WAL exact even on partial failure.
-  MutexLock lock(meta->op_mu);
-  for (const TrialResult& result : results) {
-    Status told = service_.Tell(name, result);
-    if (!told.ok()) return told;
-    meta->wal.Append("tell x" + EncodeBytes(SerializeTrialResult(result)))
-        .ok();
-  }
-  return Status::OK();
-}
-
-Status TuningServer::DoStep(const std::string& name, bool* progressed) {
-  MetaPtr meta = FindMeta(name);
-  if (meta == nullptr || !meta->wal.is_open()) {
-    return service_.Step(name, progressed);
-  }
-  MutexLock lock(meta->op_mu);
-  Result<service::SessionStatus> before = service_.GetStatus(name);
-  bool stepped = false;
-  Status status = service_.Step(name, &stepped);
-  if (status.ok() && stepped && before.ok()) {
-    meta->wal.Append("step " + std::to_string(before->iterations_run)).ok();
-  }
-  if (progressed != nullptr) *progressed = stepped;
-  return status;
-}
-
-void TuningServer::ExpireSweep() {
-  int64_t now = service::NowUnixMillis();
-  std::vector<std::pair<std::string, MetaPtr>> candidates;
-  {
-    MutexLock lock(meta_mu_);
-    for (const auto& [name, meta] : metas_) {
-      if (meta->spec.pending_deadline_ms > 0) {
-        candidates.emplace_back(name, meta);
-      }
-    }
-  }
-  for (const auto& [name, meta] : candidates) {
-    MutexLock lock(meta->op_mu);
-    Result<std::vector<int64_t>> expired =
-        service_.ExpireOverdueSession(name, now);
-    if (!expired.ok() || !meta->wal.is_open()) continue;
-    for (int64_t id : *expired) {
-      meta->wal.Append("expire " + std::to_string(id)).ok();
-    }
-  }
-}
-
-Status TuningServer::ReplayWal(const std::string& name) {
-  Result<std::vector<std::string>> records =
-      service::TrialWal::ReadRecords(WalPath(name));
-  if (!records.ok()) return records.status();
-  for (const std::string& record : *records) {
-    TokenReader in(record);
-    std::string_view op = in.Next();
-    if (op == "ask1" || op == "askb") {
-      int requested = 1;
-      if (op == "askb") in.Value(requested);
-      int64_t first_id = 0;
-      in.Value(first_id);
-      if (!in.ok()) break;
-      Result<int64_t> next = service_.NextTrialId(name);
-      if (!next.ok()) return next.status();
-      // Rounds commit whole, so the restored cursor always sits on a
-      // round boundary: an ask record is either entirely inside the
-      // checkpoint (skip), exactly at the cursor (re-issue the same
-      // deterministic draw), or past it (a gap from a lost append —
-      // nothing after it can be replayed either).
-      if (first_id < *next) continue;
-      if (first_id > *next) break;
-      if (op == "ask1") {
-        Result<Trial> trial = service_.Ask(name);
-        if (!trial.ok()) return trial.status();
-        if (trial->id != first_id) {
-          return Status::Internal("wal replay: re-asked trial id " +
-                                  std::to_string(trial->id) + " != logged " +
-                                  std::to_string(first_id));
-        }
-      } else {
-        Result<std::vector<Trial>> trials = service_.AskBatch(name, requested);
-        if (!trials.ok()) return trials.status();
-        if (trials->empty() || trials->front().id != first_id) {
-          return Status::Internal(
-              "wal replay: re-asked batch does not start at logged id " +
-              std::to_string(first_id));
-        }
-      }
-    } else if (op == "tell") {
-      std::string line;
-      in.Value(line);
-      if (!in.ok()) break;
-      Result<TrialResult> result = ParseTrialResult(line);
-      if (!result.ok()) break;
-      Status told = service_.Tell(name, *result);
-      // AlreadyExists: the autosave checkpoint had committed this
-      // tell. TrialExpired: the trial expired and the checkpoint
-      // recorded the expiry. Both mean "already applied".
-      if (!told.ok() && told.code() != StatusCode::kAlreadyExists &&
-          told.code() != StatusCode::kTrialExpired) {
-        return told;
-      }
-    } else if (op == "expire") {
-      int64_t id = 0;
-      in.Value(id);
-      if (!in.ok()) break;
-      Status expired = service_.Expire(name, id);
-      // AlreadyExists: the trial committed before this stale record.
-      if (!expired.ok() && expired.code() != StatusCode::kAlreadyExists) {
-        return expired;
-      }
-    } else if (op == "step") {
-      int64_t iters_before = 0;
-      in.Value(iters_before);
-      if (!in.ok()) break;
-      Result<service::SessionStatus> status = service_.GetStatus(name);
-      if (!status.ok()) return status.status();
-      if (status->iterations_run > iters_before) continue;
-      bool progressed = false;
-      Status stepped = service_.Step(name, &progressed);
-      if (!stepped.ok()) return stepped;
-    } else {
-      break;  // unknown record: stop at the first thing we can't replay
-    }
-  }
-  return Status::OK();
-}
-
-std::string TuningServer::HandleCreateOrResume(const ConnPtr& conn,
-                                               const Frame& frame) {
-  std::string name, checkpoint;
-  WireSessionSpec wire;
-  Status parse =
-      frame.kind == MessageKind::kCreateSession
-          ? DecodeCreateSession(frame.payload, &name, &wire)
-          : DecodeResume(frame.payload, &name, &wire, &checkpoint);
-  if (!parse.ok()) return MalformedReplyFrame(parse);
-
+Status TuningServer::AddSession(const std::string& name,
+                                const WireSessionSpec& wire,
+                                const std::string& tenant,
+                                const std::string* checkpoint, bool recover) {
   auto meta = std::make_shared<SessionMeta>();
   meta->spec = wire;
-  {
-    MutexLock lock(conn->mu);
-    meta->tenant = conn->tenant;
-  }
+  meta->tenant = tenant;
   service::SessionSpec spec;
-  Status built = BuildSessionSpec(wire, &meta->owned_space, &spec);
-  if (!built.ok()) return ErrorReplyFrame(built);
-
-  Status quota = ReserveTenantSlot(meta->tenant);
-  if (!quota.ok()) return ErrorReplyFrame(quota);
-  Status registered = frame.kind == MessageKind::kCreateSession
-                          ? service_.CreateSession(name, spec)
-                          : service_.Resume(name, spec, checkpoint);
-  if (!registered.ok()) {
-    ReleaseTenantSlot(meta->tenant);
-    return ErrorReplyFrame(registered);
+  LT_RETURN_NOT_OK(BuildSessionSpec(name, wire, &meta->owned_space, &spec));
+  LT_RETURN_NOT_OK(ReserveTenantSlot(tenant));
+  Status added = checkpoint == nullptr ? service_.CreateSession(name, spec)
+                 : recover ? service_.Recover(name, spec, *checkpoint)
+                           : service_.Resume(name, spec, *checkpoint);
+  if (!added.ok()) {
+    ReleaseTenantSlot(tenant);
+    return added;
   }
-  if (!options_.autosave_dir.empty()) {
-    // Fresh incarnation: a stale WAL from an earlier same-named
-    // session must not replay into this one.
-    if (meta->wal.Open(WalPath(name)).ok()) meta->wal.Truncate().ok();
-  }
-  {
-    MutexLock lock(meta_mu_);
-    metas_[name] = std::move(meta);
-  }
-  return EncodeFrame(MessageKind::kOk, "");
-}
-
-std::string TuningServer::HandleResumeSaved(const ConnPtr& conn,
-                                            const std::string& name) {
-  std::string tenant;
-  {
-    MutexLock lock(conn->mu);
-    tenant = conn->tenant;
-  }
-  Status resumed = ResumeSavedSession(name, &tenant);
-  if (!resumed.ok()) return ErrorReplyFrame(resumed);
-  return EncodeFrame(MessageKind::kOk, "");
+  MutexLock lock(meta_mu_);
+  metas_[name] = std::move(meta);
+  return Status::OK();
 }
 
 Status TuningServer::ResumeSavedSession(const std::string& name,
@@ -1042,39 +810,15 @@ Status TuningServer::ResumeSavedSession(const std::string& name,
   const std::string header = text.substr(0, newline);
   Result<WireSessionSpec> wire = DecodeSessionSpec(header);
   if (!wire.ok()) return wire.status();
-  std::string checkpoint = text.substr(newline + 1);
-
-  auto meta = std::make_shared<SessionMeta>();
-  meta->spec = *wire;
-  meta->tenant = tenant_override != nullptr ? *tenant_override
-                                            : TenantFromAutosaveHeader(header);
-  service::SessionSpec spec;
-  Status built = BuildSessionSpec(meta->spec, &meta->owned_space, &spec);
-  if (!built.ok()) return built;
-
-  Status quota = ReserveTenantSlot(meta->tenant);
-  if (!quota.ok()) return quota;
-  Status resumed = service_.Resume(name, spec, checkpoint);
-  if (!resumed.ok()) {
-    ReleaseTenantSlot(meta->tenant);
-    return resumed;
-  }
+  const std::string checkpoint = text.substr(newline + 1);
   // The autosave restored every committed round; the WAL tail holds
-  // whatever was told after that snapshot. Replay it before answering
-  // so the caller sees the post-crash state. A replay error stops at
-  // the last applicable record — the session is still a valid prefix
-  // of its pre-crash history (loss ≤ the request in flight), so the
-  // resume itself still succeeds.
-  ReplayWal(name).ok();
-  // Keep appending to the same WAL (no truncation: its records stay
-  // idempotent under a second replay, and truncating here would widen
-  // the window where a crash loses the tail).
-  meta->wal.Open(WalPath(name)).ok();
-  {
-    MutexLock lock(meta_mu_);
-    metas_[name] = std::move(meta);
-  }
-  return Status::OK();
+  // whatever was told after that snapshot, and is replayed before the
+  // session becomes visible, so the caller sees the post-crash state.
+  return AddSession(name, *wire,
+                    tenant_override != nullptr
+                        ? *tenant_override
+                        : TenantFromAutosaveHeader(header),
+                    &checkpoint, true);
 }
 
 void TuningServer::ResumeSavedStartupSweep() {
@@ -1109,26 +853,15 @@ void TuningServer::ResumeSavedStartupSweep() {
 }
 
 std::string TuningServer::HandleStartDrive(const std::string& name) {
-  Result<service::SessionStatus> status = service_.GetStatus(name);
-  if (!status.ok()) return ErrorReplyFrame(status.status());
-  if (status->external) {
+  MetaPtr meta = MetaFor(name);
+  if (meta == nullptr) {
+    return ErrorReplyFrame(
+        Status::SessionNotFound("server: no session '" + name + "'"));
+  }
+  if (meta->spec.workload.empty()) {
     return ErrorReplyFrame(Status::FailedPrecondition(
         "server: session '" + name +
         "' is caller-driven (space source); use Ask/Tell"));
-  }
-  MetaPtr meta;
-  {
-    MutexLock lock(meta_mu_);
-    auto it = metas_.find(name);
-    if (it != metas_.end()) meta = it->second;
-  }
-  if (meta == nullptr) {
-    // Session created in-process through service(): still driveable,
-    // just invisible to autosave (no wire spec to persist).
-    meta = std::make_shared<SessionMeta>();
-    MutexLock lock(meta_mu_);
-    metas_.emplace(name, meta);
-    meta = metas_[name];
   }
   if (meta->driving.exchange(true)) {
     return EncodeFrame(MessageKind::kOk, "");  // idempotent
@@ -1159,23 +892,10 @@ void TuningServer::DriveStep(const std::string& name, MetaPtr meta) {
 std::string TuningServer::HandleClose(const std::string& name) {
   Result<SessionResult> closed = service_.Close(name);
   if (!closed.ok()) return ErrorReplyFrame(closed.status());
-  MetaPtr meta;
-  {
-    MutexLock lock(meta_mu_);
-    auto it = metas_.find(name);
-    if (it != metas_.end()) {
-      meta = std::move(it->second);
-      metas_.erase(it);
-    }
-  }
-  if (meta != nullptr) {
-    ReleaseTenantSlot(meta->tenant);
-    if (!options_.autosave_dir.empty()) {
-      meta->wal.Close();
-      // Explicit close: done for good — drop both recovery artifacts.
-      ::unlink(AutosavePath(name).c_str());
-      ::unlink(WalPath(name).c_str());
-    }
+  if (ForgetMeta(name) && !options_.autosave_dir.empty()) {
+    // Explicit close: done for good — drop both recovery artifacts.
+    ::unlink(AutosavePath(name).c_str());
+    ::unlink(WalPath(name).c_str());
   }
   WireCloseResult result;
   result.iterations_run = closed->iterations_run;
@@ -1184,9 +904,10 @@ std::string TuningServer::HandleClose(const std::string& name) {
   return EncodeFrame(MessageKind::kClosedReply, EncodeClosedReply(result));
 }
 
-Status TuningServer::BuildSessionSpec(const WireSessionSpec& wire,
+Status TuningServer::BuildSessionSpec(const std::string& name,
+                                      const WireSessionSpec& wire,
                                       std::unique_ptr<ConfigSpace>* owned_space,
-                                      service::SessionSpec* out) {
+                                      service::SessionSpec* out) const {
   if (!wire.workload.empty()) {
     Result<dbsim::WorkloadSpec> workload = dbsim::WorkloadByName(wire.workload);
     if (!workload.ok()) return workload.status();
@@ -1215,6 +936,7 @@ Status TuningServer::BuildSessionSpec(const WireSessionSpec& wire,
     racing.ci_z = wire.racing_ci_z;
     out->racing = racing;
   }
+  if (!options_.autosave_dir.empty()) out->wal_path = WalPath(name);
   return Status::OK();
 }
 
@@ -1252,96 +974,87 @@ std::string TuningServer::WalPath(const std::string& name) const {
 
 Status TuningServer::AutosaveSession(const std::string& name,
                                      const MetaPtr& meta) {
-  // op_mu makes checkpoint + pending-count + WAL truncation one
-  // atomic snapshot: no tell can commit between capturing the
-  // checkpoint and deciding whether its WAL records may be dropped.
-  MutexLock op_lock(meta->op_mu);
-  Result<std::string> checkpoint = service_.Checkpoint(name);
-  if (!checkpoint.ok()) return checkpoint.status();
-  Result<service::SessionStatus> status = service_.GetStatus(name);
-  if (!status.ok()) return status.status();
+  if (options_.autosave_dir.empty()) return Status::OK();
   // The tenant rides as a trailing token on the spec line so a
   // hot-restart sweep can rebuild ownership; DecodeSessionSpec stops
   // at the spec, so pre-token readers still load the file.
-  std::string content = EncodeSessionSpec(meta->spec) + " tenant x" +
-                        EncodeBytes(meta->tenant) + '\n' + *checkpoint;
-  // Sweeps visit every live session on the event-loop thread and a
-  // durable write costs two fsyncs, so a file this server already
-  // wrote durably is rewritten only when its bytes change. Chaos hook
-  // "autosave.torn": die mid-write. The previous autosave must stay
-  // untouched and fully loadable, and the WAL untruncated.
+  const std::string header = EncodeSessionSpec(meta->spec) + " tenant x" +
+                             EncodeBytes(meta->tenant) + '\n';
   const std::string path = AutosavePath(name);
-  auto unchanged = [&path, &content] {
-    Result<std::string> on_disk = ReadFile(path);
-    return on_disk.ok() && *on_disk == content;
-  };
-  if (!meta->autosave_durable || !unchanged()) {
-    meta->autosave_durable = false;
-    LT_RETURN_NOT_OK(
-        AtomicWriteFile(path, content, "autosave.torn",
-                        [this] { autosaves_written_.fetch_add(1); }));
-    meta->autosave_durable = true;
-  }
-  // The WAL may only shrink once everything it describes is inside a
-  // durable checkpoint. A pending trial's ask record is not — its
-  // round is uncommitted — so any pending trial blocks truncation
-  // (the tail replays idempotently instead).
-  if (meta->wal.is_open() && status->pending_trials == 0) {
-    meta->wal.Truncate().ok();
-  }
-  return Status::OK();
+  // The service runs this under the session lock and truncates the
+  // WAL only after it returns OK, so the log shrinks only once the
+  // checkpoint is durable.
+  return service_.PersistCheckpoint(
+      name, [this, &meta, &header, &path](const std::string& checkpoint) {
+        const std::string content = header + checkpoint;
+        // Sweeps visit every live session on the event-loop thread and
+        // a durable write costs two fsyncs, so a file this server
+        // already wrote durably is rewritten only when its bytes
+        // change. Chaos hook "autosave.torn": die mid-write. The
+        // previous autosave must stay untouched and fully loadable,
+        // and the WAL untruncated.
+        if (meta->autosave_durable.load()) {
+          Result<std::string> on_disk = ReadFile(path);
+          if (on_disk.ok() && *on_disk == content) return Status::OK();
+        }
+        meta->autosave_durable.store(false);
+        LT_RETURN_NOT_OK(
+            AtomicWriteFile(path, content, "autosave.torn",
+                            [this] { autosaves_written_.fetch_add(1); }));
+        meta->autosave_durable.store(true);
+        return Status::OK();
+      });
 }
 
 void TuningServer::AutosaveSweep() {
-  if (options_.autosave_dir.empty()) return;
-  for (const service::SessionStatus& status : service_.ListSessions()) {
-    MetaPtr meta;
-    {
-      MutexLock lock(meta_mu_);
-      auto it = metas_.find(status.name);
-      if (it != metas_.end()) meta = it->second;
-    }
-    // Only wire-created sessions carry a serializable spec; sessions
-    // created in-process (or bare drive metas) cannot be autosaved.
-    if (meta == nullptr ||
-        (meta->spec.workload.empty() && meta->spec.space_knobs.empty())) {
-      continue;
-    }
-    AutosaveSession(status.name, meta).ok();
-  }
+  for (const auto& [name, meta] : Metas()) AutosaveSession(name, meta).ok();
 }
 
 void TuningServer::EvictionSweep() {
   if (options_.idle_eviction_ms <= 0) return;
   int64_t now = service::NowUnixMillis();
-  for (const service::SessionStatus& status : service_.ListSessions()) {
-    MetaPtr meta;
-    {
-      MutexLock lock(meta_mu_);
-      auto it = metas_.find(status.name);
-      if (it != metas_.end()) meta = it->second;
-    }
-    // The server only evicts sessions it created over the wire.
-    if (meta == nullptr || meta->driving.load()) continue;
-    if (now - status.last_activity_unix_ms < options_.idle_eviction_ms) {
+  for (const auto& [name, meta] : Metas()) {
+    if (meta->driving.load()) continue;
+    Result<service::SessionStatus> status = service_.GetStatus(name);
+    if (!status.ok() ||
+        now - status->last_activity_unix_ms < options_.idle_eviction_ms) {
       continue;
     }
-    if (!options_.autosave_dir.empty() &&
-        !(meta->spec.workload.empty() && meta->spec.space_knobs.empty())) {
-      AutosaveSession(status.name, meta).ok();
-    }
-    if (service_.Close(status.name).ok()) {
+    AutosaveSession(name, meta).ok();
+    if (service_.Close(name).ok()) {
       sessions_evicted_.fetch_add(1);
-      ReleaseTenantSlot(meta->tenant);
-      MutexLock lock(meta_mu_);
-      metas_.erase(status.name);
+      ForgetMeta(name);
     }
   }
 }
 
+TuningServer::MetaPtr TuningServer::MetaFor(const std::string& name) const {
+  MutexLock lock(meta_mu_);
+  auto it = metas_.find(name);
+  return it == metas_.end() ? nullptr : it->second;
+}
+
+std::map<std::string, TuningServer::MetaPtr> TuningServer::Metas() const {
+  MutexLock lock(meta_mu_);
+  return metas_;
+}
+
+bool TuningServer::ForgetMeta(const std::string& name) {
+  MetaPtr meta;
+  {
+    MutexLock lock(meta_mu_);
+    auto it = metas_.find(name);
+    if (it == metas_.end()) return false;
+    meta = std::move(it->second);
+    metas_.erase(it);
+  }
+  ReleaseTenantSlot(meta->tenant);
+  return true;
+}
+
 void TuningServer::RunMaintenance() {
   MutexLock lock(maintenance_mu_);
-  ExpireSweep();
+  service_.ExpireOverdue(service::NowUnixMillis());
   AutosaveSweep();
   EvictionSweep();
 }

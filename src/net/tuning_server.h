@@ -15,7 +15,6 @@
 #include "src/knobs/config_space.h"
 #include "src/net/frame.h"
 #include "src/net/message.h"
-#include "src/service/trial_wal.h"
 #include "src/service/tuning_service.h"
 
 namespace llamatune {
@@ -57,11 +56,11 @@ struct TuningServerOptions {
   /// can be revived by ResumeSaved after a crash or eviction.
   ///
   /// When set, every wire-created session additionally keeps a
-  /// per-tell write-ahead log at <hex(name)>.wal: each committed
-  /// ask/tell/expire/step appends one fsync'd record, and ResumeSaved
-  /// replays the WAL tail on top of the last autosave, bounding data
-  /// loss after a crash to at most the request in flight (see
-  /// docs/resilience.md).
+  /// per-tell write-ahead log at <hex(name)>.wal (SessionSpec::wal_path):
+  /// each committed ask/tell/expire/step — background drive steps
+  /// included — appends one fsync'd record, and ResumeSaved replays the
+  /// WAL tail on top of the last autosave, bounding data loss after a
+  /// crash to at most the request in flight (see docs/resilience.md).
   std::string autosave_dir;
   /// Autosave sweep period; 0 disables the periodic sweep (explicit
   /// RunMaintenance() calls still autosave).
@@ -143,11 +142,6 @@ class TuningServer {
   bool running() const { return lifecycle() == ServerLifecycle::kRunning; }
   bool draining() const { return lifecycle() == ServerLifecycle::kDraining; }
 
-  /// The underlying registry — in-process callers may drive sessions
-  /// directly, but sessions created this way are invisible to autosave
-  /// and quotas (the server has no wire spec for them).
-  service::TuningService& service() { return service_; }
-
   /// Runs one autosave + eviction sweep synchronously (the same sweep
   /// the loop runs on its timers). Exposed so tests don't race timers.
   void RunMaintenance();
@@ -204,6 +198,10 @@ class TuningServer {
     /// handler, read by later handlers and by the event loop's
     /// admission classifier, so it lives under mu.
     std::string tenant GUARDED_BY(mu);
+    std::string Tenant() EXCLUDES(mu) {
+      MutexLock lock(mu);
+      return tenant;
+    }
     /// Queued requests + the one-in-flight flag.
     std::deque<PendingRequest> inbox GUARDED_BY(mu);
     bool busy GUARDED_BY(mu) = false;
@@ -216,20 +214,15 @@ class TuningServer {
   /// Server-side record of a wire-created session (what the service
   /// itself doesn't know: the serializable spec, the owning tenant,
   /// the rebuilt ConfigSpace for space sources, the drive flag).
+  /// Session state and its WAL live in the service.
   struct SessionMeta {
     WireSessionSpec spec;
     std::string tenant;
     std::unique_ptr<ConfigSpace> owned_space;
     std::atomic<bool> driving{false};
-    /// Per-session trial WAL (open only when autosave_dir is set).
-    service::TrialWal wal;
-    /// Serializes each (service call + WAL append) pair so WAL record
-    /// order always matches the session's commit order. Taken before
-    /// the service's per-session mutex; never the other way around.
-    Mutex op_mu;
     /// True once this server has durably written the session's
     /// autosave file; an unchanged file is then not rewritten.
-    bool autosave_durable GUARDED_BY(op_mu) = false;
+    std::atomic<bool> autosave_durable{false};
   };
   using MetaPtr = std::shared_ptr<SessionMeta>;
 
@@ -248,52 +241,44 @@ class TuningServer {
   void WriteFrame(const ConnPtr& conn, MessageKind kind,
                   const std::string& payload);
   std::string ErrorReplyFrame(const Status& status) const;
+  /// kOk for an OK status, else its error frame.
+  std::string StatusReplyFrame(const Status& status) const;
 
   /// Request handlers (pool threads).
-  std::string HandleCreateOrResume(const ConnPtr& conn, const Frame& frame);
-  std::string HandleResumeSaved(const ConnPtr& conn, const std::string& name);
   std::string HandleStartDrive(const std::string& name);
   std::string HandleClose(const std::string& name);
   void DriveStep(const std::string& name, MetaPtr meta);
 
   /// Converts a wire spec into a live SessionSpec (resolving the
-  /// workload name or rebuilding the knob space into *owned_space).
-  static Status BuildSessionSpec(const WireSessionSpec& wire,
-                                 std::unique_ptr<ConfigSpace>* owned_space,
-                                 service::SessionSpec* out);
+  /// workload name or rebuilding the knob space into *owned_space),
+  /// with the session's WAL path when autosave is on.
+  Status BuildSessionSpec(const std::string& name, const WireSessionSpec& wire,
+                          std::unique_ptr<ConfigSpace>* owned_space,
+                          service::SessionSpec* out) const;
+
+  /// Registers a wire session: builds its spec, takes a tenant quota
+  /// slot, adds it to the service — fresh, resumed from `checkpoint`,
+  /// or (`recover`) also replaying its WAL — and records its meta.
+  Status AddSession(const std::string& name, const WireSessionSpec& wire,
+                    const std::string& tenant, const std::string* checkpoint,
+                    bool recover);
+
+  /// The meta of a wire session, or nullptr; and a snapshot of all.
+  MetaPtr MetaFor(const std::string& name) const EXCLUDES(meta_mu_);
+  std::map<std::string, MetaPtr> Metas() const EXCLUDES(meta_mu_);
+  /// Drops a closed session's meta and releases its tenant slot;
+  /// false when the server holds no meta for `name`.
+  bool ForgetMeta(const std::string& name) EXCLUDES(meta_mu_);
 
   /// Quota bookkeeping (meta_mu_).
   Status ReserveTenantSlot(const std::string& tenant) EXCLUDES(meta_mu_);
   void ReleaseTenantSlot(const std::string& tenant) EXCLUDES(meta_mu_);
 
-  /// \name WAL-aware session operations
-  ///
-  /// Each successful mutation on a wire-created session appends one
-  /// record to its WAL under meta->op_mu, keeping the log a faithful
-  /// prefix of the session's committed history. Sessions without an
-  /// open WAL (in-process, or autosave disabled) fall straight through
-  /// to the service.
-  /// @{
-  MetaPtr FindMeta(const std::string& name) const EXCLUDES(meta_mu_);
-  Result<Trial> DoAsk(const std::string& name);
-  Result<std::vector<Trial>> DoAskBatch(const std::string& name, int n);
-  Status DoTell(const std::string& name, const TrialResult& result);
-  Status DoTellBatch(const std::string& name,
-                     const std::vector<TrialResult>& results);
-  Status DoStep(const std::string& name, bool* progressed);
-  /// Expires overdue trials on every wire session with a deadline and
-  /// WAL-logs each expiry.
-  void ExpireSweep();
-  /// Replays the WAL tail on top of a freshly resumed session (see
-  /// docs/resilience.md for the cursor rules).
-  Status ReplayWal(const std::string& name);
-  /// @}
-
   /// Core of kResumeSaved and the hot-restart sweep: loads the
-  /// autosave (spec line + tenant token + checkpoint), resumes the
-  /// session, replays the WAL tail, registers the meta. The wire path
-  /// passes the connection's tenant; the startup sweep passes nullptr
-  /// to adopt the tenant recorded in the file.
+  /// autosave (spec line + tenant token + checkpoint) and recovers the
+  /// session through AddSession. The wire path passes the connection's
+  /// tenant; the startup sweep passes nullptr to adopt the tenant
+  /// recorded in the file.
   Status ResumeSavedSession(const std::string& name,
                             const std::string* tenant_override);
   /// Revives every *.autosave in autosave_dir (hot restart). Sessions

@@ -24,7 +24,6 @@ Status Errno(const std::string& what, const std::string& path) {
 TrialWal::~TrialWal() { Close(); }
 
 Status TrialWal::Open(const std::string& path) {
-  MutexLock lock(mu_);
   if (fd_ >= 0) ::close(fd_);
   fd_ = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd_ < 0) return Errno("open", path);
@@ -33,7 +32,6 @@ Status TrialWal::Open(const std::string& path) {
 }
 
 Status TrialWal::Append(const std::string& record) {
-  MutexLock lock(mu_);
   if (fd_ < 0) return Status::FailedPrecondition("TrialWal: not open");
   std::string line = record;
   line.push_back('\n');
@@ -53,7 +51,6 @@ Status TrialWal::Append(const std::string& record) {
 }
 
 Status TrialWal::Truncate() {
-  MutexLock lock(mu_);
   if (fd_ < 0) return Status::FailedPrecondition("TrialWal: not open");
   if (::ftruncate(fd_, 0) != 0) return Errno("ftruncate", path_);
   if (::fsync(fd_) != 0) return Errno("fsync", path_);
@@ -61,7 +58,6 @@ Status TrialWal::Truncate() {
 }
 
 void TrialWal::Close() {
-  MutexLock lock(mu_);
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;

@@ -4,27 +4,27 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/common/sync.h"
 
 namespace llamatune {
 namespace service {
 
 /// \brief Per-session write-ahead trial log.
 ///
-/// The server appends one fsync'd record per committed state-changing
-/// request (ask, tell, expire, step), so a crash between periodic
-/// autosaves loses at most the request that was in flight: recovery
-/// loads the last autosave checkpoint, then replays the WAL tail
-/// idempotently on top (see docs/resilience.md for the record grammar
-/// and the recovery order proof sketch).
+/// TuningService appends one fsync'd record per committed
+/// state-changing operation (ask, tell, expire, step), so a crash
+/// between periodic autosaves loses at most the request that was in
+/// flight: recovery loads the last autosave checkpoint, then replays
+/// the WAL tail idempotently on top (see docs/resilience.md for the
+/// record grammar and the recovery order proof sketch).
 ///
-/// One record is one '\n'-terminated line. Appends are serialized by
-/// an internal mutex and each append is followed by fsync before the
-/// call returns — a record the caller saw acknowledged is durable.
+/// One record is one '\n'-terminated line. Each append is followed by
+/// fsync before the call returns — a record the caller saw
+/// acknowledged is durable. Not thread-safe: the owner serializes
+/// calls (the service holds the session lock).
 /// ReadRecords tolerates a torn tail: a final line without its
 /// newline (the append that was racing the crash) is ignored.
 ///
-/// The log is truncated by the autosave sweep once a checkpoint
+/// The log is truncated by the autosave snapshot once a checkpoint
 /// covering every record has been persisted *and* the session has no
 /// pending trials (a pending trial's ask record must survive until
 /// its round commits into a checkpoint, or a tell recorded after the
@@ -50,14 +50,8 @@ class TrialWal {
   Status Truncate();
 
   void Close();
-  bool is_open() const {
-    MutexLock lock(mu_);
-    return fd_ >= 0;
-  }
-  std::string path() const {
-    MutexLock lock(mu_);
-    return path_;
-  }
+  bool is_open() const { return fd_ >= 0; }
+  std::string path() const { return path_; }
 
   /// Reads every complete record from the log at `path`. A torn tail
   /// (final line with no newline) is dropped silently; a missing file
@@ -66,9 +60,8 @@ class TrialWal {
       const std::string& path);
 
  private:
-  mutable Mutex mu_;
-  int fd_ GUARDED_BY(mu_) = -1;
-  std::string path_ GUARDED_BY(mu_);
+  int fd_ = -1;
+  std::string path_;
 };
 
 }  // namespace service

@@ -1,10 +1,16 @@
 #include "src/service/tuning_service.h"
 
 #include <chrono>
+#include <string_view>
+#include <type_traits>
 #include <utility>
+
+#include "src/common/serde.h"
 
 namespace llamatune {
 namespace service {
+
+using harness::Tuner;
 
 int64_t NowUnixMillis() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -18,10 +24,15 @@ Status NoSession(const std::string& name) {
   return Status::SessionNotFound("TuningService: no session '" + name + "'");
 }
 
-}  // namespace
+std::string TellRecord(const TrialResult& result) {
+  return "tell x" + EncodeBytes(SerializeTrialResult(result));
+}
 
-Status TuningService::BuildEntry(const SessionSpec& spec,
-                                 std::shared_ptr<Entry>* out) {
+std::string ExpireRecord(int64_t trial_id) {
+  return "expire " + std::to_string(trial_id);
+}
+
+Result<std::unique_ptr<Tuner>> BuildTuner(const SessionSpec& spec) {
   int sources = (spec.workload.has_value() ? 1 : 0) +
                 (spec.objective != nullptr ? 1 : 0) +
                 (spec.space != nullptr ? 1 : 0);
@@ -51,58 +62,161 @@ Status TuningService::BuildEntry(const SessionSpec& spec,
   if (spec.racing.has_value()) {
     builder.Racing(*spec.racing);
   }
-
   // Sessions are always built detached-capable: ask/tell is the
   // service's native protocol, and Step/Drive additionally work when
   // an evaluable objective exists.
-  Result<std::unique_ptr<harness::Tuner>> tuner = builder.BuildDetached();
-  if (!tuner.ok()) return tuner.status();
+  return builder.BuildDetached();
+}
 
-  auto entry = std::make_shared<Entry>();
-  {
-    // The entry is not yet published, but tuner is guarded by mu and
-    // the analysis cannot see construction-time exclusivity; the
-    // uncontended lock keeps the annotation honest.
-    MutexLock lock(entry->mu);
-    entry->tuner = std::move(tuner).ValueOrDie();
+/// Applies WAL records to a freshly restored tuner, stopping at the
+/// first record it cannot apply (cursor rules: docs/resilience.md).
+Status ReplayWal(Tuner& tuner, const std::vector<std::string>& records) {
+  for (const std::string& record : records) {
+    TokenReader in(record);
+    std::string_view op = in.Next();
+    if (op == "ask1" || op == "askb") {
+      int requested = 1;
+      if (op == "askb") in.Value(requested);
+      int64_t first_id = 0;
+      in.Value(first_id);
+      if (!in.ok()) break;
+      // Rounds commit whole, so the restored cursor always sits on a
+      // round boundary: an ask record is either entirely inside the
+      // checkpoint (skip), exactly at the cursor (re-issue the same
+      // deterministic draw), or past it (a gap from a lost append —
+      // nothing after it can be replayed either).
+      if (first_id < tuner.next_trial_id()) continue;
+      if (first_id > tuner.next_trial_id()) break;
+      if (op == "ask1") {
+        Result<Trial> trial = tuner.Ask();
+        if (!trial.ok()) return trial.status();
+        if (trial->id != first_id) {
+          return Status::Internal("wal replay: re-asked trial id " +
+                                  std::to_string(trial->id) + " != logged " +
+                                  std::to_string(first_id));
+        }
+      } else {
+        Result<std::vector<Trial>> trials = tuner.AskBatch(requested);
+        if (!trials.ok()) return trials.status();
+        if (trials->empty() || trials->front().id != first_id) {
+          return Status::Internal(
+              "wal replay: re-asked batch does not start at logged id " +
+              std::to_string(first_id));
+        }
+      }
+    } else if (op == "tell") {
+      std::string line;
+      in.Value(line);
+      if (!in.ok()) break;
+      Result<TrialResult> result = ParseTrialResult(line);
+      if (!result.ok()) break;
+      Status told = tuner.Tell(*result);
+      // AlreadyExists: the autosave checkpoint had committed this
+      // tell. TrialExpired: the trial expired and the checkpoint
+      // recorded the expiry. Both mean "already applied".
+      if (!told.ok() && told.code() != StatusCode::kAlreadyExists &&
+          told.code() != StatusCode::kTrialExpired) {
+        return told;
+      }
+    } else if (op == "expire") {
+      int64_t id = 0;
+      in.Value(id);
+      if (!in.ok()) break;
+      Status expired = tuner.Expire(id);
+      // AlreadyExists: the trial committed before this stale record.
+      if (!expired.ok() && expired.code() != StatusCode::kAlreadyExists) {
+        return expired;
+      }
+    } else if (op == "step") {
+      int64_t iters_before = 0;
+      in.Value(iters_before);
+      if (!in.ok()) break;
+      if (tuner.session().iterations_run() <= iters_before) tuner.Step();
+    } else {
+      break;  // unknown record: stop at the first thing we can't replay
+    }
   }
-  entry->optimizer_key = spec.optimizer_key;
-  entry->adapter_key = spec.adapter_key;
-  entry->external = spec.space != nullptr;
-  entry->num_iterations = spec.num_iterations;
-  entry->created_unix_ms = NowUnixMillis();
-  entry->last_activity_unix_ms.store(entry->created_unix_ms,
-                                     std::memory_order_relaxed);
-  *out = std::move(entry);
+  return Status::OK();
+}
+
+}  // namespace
+
+template <typename Op>
+auto TuningService::Run(const std::string& name, Activity activity,
+                        Op&& op) const {
+  using R = std::invoke_result_t<Op&, Tuner&, WalEdit*>;
+  std::shared_ptr<Entry> entry = Find(name);
+  if (entry == nullptr) return R(NoSession(name));
+  return RunLocked(*entry, activity, op);
+}
+
+template <typename Op>
+auto TuningService::RunLocked(Entry& entry, Activity activity,
+                              Op&& op) const {
+  if (activity == kDriving) {
+    entry.last_activity_unix_ms.store(NowUnixMillis(),
+                                      std::memory_order_relaxed);
+  }
+  MutexLock lock(entry.mu);
+  WalEdit edit;
+  auto result = op(*entry.tuner, entry.wal.is_open() ? &edit : nullptr);
+  if (edit.truncate) entry.wal.Truncate().ok();
+  for (const std::string& record : edit.records) {
+    entry.wal.Append(record).ok();
+  }
+  return result;
+}
+
+Status TuningService::Add(const std::string& name, const SessionSpec& spec,
+                          const std::string* checkpoint, bool replay_wal) {
+  Result<std::unique_ptr<Tuner>> tuner = BuildTuner(spec);
+  if (!tuner.ok()) return tuner.status();
+  auto entry = std::make_shared<Entry>(spec);
+  // Held across publication, so no operation reaches the session
+  // before its WAL is open: none goes unlogged.
+  MutexLock lock(entry->mu);
+  entry->tuner = std::move(tuner).ValueOrDie();
+  if (checkpoint != nullptr) {
+    LT_RETURN_NOT_OK(entry->tuner->Restore(*checkpoint));
+  }
+  if (replay_wal) {
+    Result<std::vector<std::string>> records =
+        TrialWal::ReadRecords(spec.wal_path);
+    // A replay error leaves a valid prefix of the logged history (loss
+    // is at most the request in flight), so recovery still succeeds.
+    if (records.ok()) ReplayWal(*entry->tuner, *records).ok();
+  }
+  {
+    MutexLock registry_lock(mu_);
+    if (!sessions_.emplace(name, entry).second) {
+      return Status::SessionAlreadyExists("TuningService: session '" + name +
+                                          "' already exists");
+    }
+  }
+  // A fresh session must not replay a stale log left by an earlier
+  // same-named one; a recovered session keeps the tail it replayed
+  // (truncating it here would widen the window a crash can lose).
+  if (!spec.wal_path.empty() && entry->wal.Open(spec.wal_path).ok() &&
+      !replay_wal) {
+    entry->wal.Truncate().ok();
+  }
   return Status::OK();
 }
 
 Status TuningService::CreateSession(const std::string& name,
                                     const SessionSpec& spec) {
-  std::shared_ptr<Entry> entry;
-  LT_RETURN_NOT_OK(BuildEntry(spec, &entry));
-  MutexLock lock(mu_);
-  if (!sessions_.emplace(name, std::move(entry)).second) {
-    return Status::SessionAlreadyExists("TuningService: session '" + name +
-                                        "' already exists");
-  }
-  return Status::OK();
+  return Add(name, spec, nullptr, false);
 }
 
 Status TuningService::Resume(const std::string& name, const SessionSpec& spec,
                              const std::string& checkpoint) {
-  std::shared_ptr<Entry> entry;
-  LT_RETURN_NOT_OK(BuildEntry(spec, &entry));
-  {
-    MutexLock lock(entry->mu);
-    LT_RETURN_NOT_OK(entry->tuner->Restore(checkpoint));
-  }
-  MutexLock lock(mu_);
-  if (!sessions_.emplace(name, std::move(entry)).second) {
-    return Status::SessionAlreadyExists("TuningService: session '" + name +
-                                        "' already exists");
-  }
-  return Status::OK();
+  return Add(name, spec, &checkpoint, false);
+}
+
+Status TuningService::Recover(const std::string& name,
+                              const SessionSpec& spec,
+                              const std::string& checkpoint) {
+  return Add(name, spec, &checkpoint, true);
 }
 
 std::shared_ptr<TuningService::Entry> TuningService::Find(
@@ -113,157 +227,166 @@ std::shared_ptr<TuningService::Entry> TuningService::Find(
 }
 
 Result<Trial> TuningService::Ask(const std::string& name) {
-  std::shared_ptr<Entry> entry = Find(name);
-  if (entry == nullptr) return NoSession(name);
-  entry->last_activity_unix_ms.store(NowUnixMillis(),
-                                     std::memory_order_relaxed);
-  MutexLock lock(entry->mu);
-  return entry->tuner->Ask();
+  return Run(name, kDriving, [](Tuner& tuner, WalEdit* wal) {
+    Result<Trial> trial = tuner.Ask();
+    if (wal != nullptr && trial.ok()) {
+      wal->records.push_back("ask1 " + std::to_string(trial->id));
+    }
+    return trial;
+  });
 }
 
 Result<std::vector<Trial>> TuningService::AskBatch(const std::string& name,
                                                    int n) {
-  std::shared_ptr<Entry> entry = Find(name);
-  if (entry == nullptr) return NoSession(name);
-  entry->last_activity_unix_ms.store(NowUnixMillis(),
-                                     std::memory_order_relaxed);
-  MutexLock lock(entry->mu);
-  return entry->tuner->AskBatch(n);
+  return Run(name, kDriving, [n](Tuner& tuner, WalEdit* wal) {
+    Result<std::vector<Trial>> trials = tuner.AskBatch(n);
+    // Record the *request* (n), not the count handed out: replay must
+    // re-issue the identical call to draw the identical batch.
+    if (wal != nullptr && trials.ok() && !trials->empty()) {
+      wal->records.push_back("askb " + std::to_string(n) + " " +
+                             std::to_string(trials->front().id));
+    }
+    return trials;
+  });
 }
 
 Status TuningService::Tell(const std::string& name,
                            const TrialResult& result) {
-  std::shared_ptr<Entry> entry = Find(name);
-  if (entry == nullptr) return NoSession(name);
-  entry->last_activity_unix_ms.store(NowUnixMillis(),
-                                     std::memory_order_relaxed);
-  MutexLock lock(entry->mu);
-  return entry->tuner->Tell(result);
+  return Run(name, kDriving, [&result](Tuner& tuner, WalEdit* wal) {
+    Status told = tuner.Tell(result);
+    if (wal != nullptr && told.ok()) wal->records.push_back(TellRecord(result));
+    return told;
+  });
 }
 
 Status TuningService::TellBatch(const std::string& name,
                                 const std::vector<TrialResult>& results) {
-  std::shared_ptr<Entry> entry = Find(name);
-  if (entry == nullptr) return NoSession(name);
-  entry->last_activity_unix_ms.store(NowUnixMillis(),
-                                     std::memory_order_relaxed);
-  MutexLock lock(entry->mu);
-  return entry->tuner->TellBatch(results);
+  return Run(name, kDriving, [&results](Tuner& tuner, WalEdit* wal) {
+    // The batch is validated whole before anything is told; after a
+    // later error the results told so far stay told, and exactly those
+    // are logged.
+    size_t told = 0;
+    Status status = tuner.session().TellBatch(results, &told);
+    for (size_t i = 0; wal != nullptr && i < told; ++i) {
+      wal->records.push_back(TellRecord(results[i]));
+    }
+    return status;
+  });
 }
 
 Result<std::vector<Trial>> TuningService::GetPending(
-    const std::string& name) const {
-  std::shared_ptr<Entry> entry = Find(name);
-  if (entry == nullptr) return NoSession(name);
+    const std::string& name, int64_t* next_trial_id) const {
   // Deliberately not an activity update: adoption polling by a
   // reconnecting client must not keep an abandoned session alive.
-  MutexLock lock(entry->mu);
-  return entry->tuner->PendingSnapshot();
-}
-
-Result<int64_t> TuningService::NextTrialId(const std::string& name) const {
-  std::shared_ptr<Entry> entry = Find(name);
-  if (entry == nullptr) return NoSession(name);
-  MutexLock lock(entry->mu);
-  return entry->tuner->next_trial_id();
+  return Run(name, kPassive, [next_trial_id](Tuner& tuner, WalEdit*) {
+    if (next_trial_id != nullptr) *next_trial_id = tuner.next_trial_id();
+    return Result<std::vector<Trial>>(tuner.PendingSnapshot());
+  });
 }
 
 Status TuningService::Expire(const std::string& name, int64_t trial_id) {
-  std::shared_ptr<Entry> entry = Find(name);
-  if (entry == nullptr) return NoSession(name);
-  MutexLock lock(entry->mu);
-  return entry->tuner->Expire(trial_id);
+  return Run(name, kPassive, [trial_id](Tuner& tuner, WalEdit* wal) {
+    Status expired = tuner.Expire(trial_id);
+    if (wal != nullptr && expired.ok()) {
+      wal->records.push_back(ExpireRecord(trial_id));
+    }
+    return expired;
+  });
 }
 
 int TuningService::ExpireOverdue(int64_t now_ms) {
   std::vector<std::shared_ptr<Entry>> entries;
   {
     MutexLock lock(mu_);
-    entries.reserve(sessions_.size());
-    for (const auto& [name, entry] : sessions_) entries.push_back(entry);
+    for (const auto& [name, entry] : sessions_) {
+      if (entry->spec.pending_deadline_ms > 0) entries.push_back(entry);
+    }
   }
   int expired = 0;
   for (const auto& entry : entries) {
-    MutexLock lock(entry->mu);
-    expired += static_cast<int>(entry->tuner->ExpireOverdue(now_ms).size());
+    expired += RunLocked(*entry, kPassive, [now_ms](Tuner& tuner,
+                                                    WalEdit* wal) {
+      std::vector<int64_t> ids = tuner.ExpireOverdue(now_ms);
+      if (wal != nullptr) {
+        for (int64_t id : ids) wal->records.push_back(ExpireRecord(id));
+      }
+      return static_cast<int>(ids.size());
+    });
   }
   return expired;
 }
 
-Result<std::vector<int64_t>> TuningService::ExpireOverdueSession(
-    const std::string& name, int64_t now_ms) {
-  std::shared_ptr<Entry> entry = Find(name);
-  if (entry == nullptr) return NoSession(name);
-  MutexLock lock(entry->mu);
-  return entry->tuner->ExpireOverdue(now_ms);
-}
-
 Status TuningService::Step(const std::string& name, bool* progressed) {
-  std::shared_ptr<Entry> entry = Find(name);
-  if (entry == nullptr) return NoSession(name);
-  entry->last_activity_unix_ms.store(NowUnixMillis(),
-                                     std::memory_order_relaxed);
-  MutexLock lock(entry->mu);
-  if (!entry->tuner->has_objective()) {
-    return Status::FailedPrecondition(
-        "TuningService: session '" + name +
-        "' is external (space source) — drive it through Ask/Tell");
-  }
-  bool stepped = entry->tuner->Step();
-  if (progressed != nullptr) *progressed = stepped;
-  return Status::OK();
+  return Run(name, kDriving, [&](Tuner& tuner, WalEdit* wal) {
+    if (!tuner.has_objective()) {
+      return Status::FailedPrecondition(
+          "TuningService: session '" + name +
+          "' is external (space source) — drive it through Ask/Tell");
+    }
+    const int before = tuner.session().iterations_run();
+    const bool stepped = tuner.Step();
+    if (wal != nullptr && stepped) {
+      wal->records.push_back("step " + std::to_string(before));
+    }
+    if (progressed != nullptr) *progressed = stepped;
+    return Status::OK();
+  });
 }
 
 Status TuningService::Drive(const std::string& name) {
-  std::shared_ptr<Entry> entry = Find(name);
-  if (entry == nullptr) return NoSession(name);
-  MutexLock lock(entry->mu);
-  if (!entry->tuner->has_objective()) {
-    return Status::FailedPrecondition(
-        "TuningService: session '" + name +
-        "' is external (space source) — drive it through Ask/Tell");
-  }
-  while (entry->tuner->Step()) {
-    entry->last_activity_unix_ms.store(NowUnixMillis(),
-                                       std::memory_order_relaxed);
+  for (bool progressed = true; progressed;) {
+    LT_RETURN_NOT_OK(Step(name, &progressed));
   }
   return Status::OK();
 }
 
 Result<std::string> TuningService::Checkpoint(const std::string& name) const {
-  std::shared_ptr<Entry> entry = Find(name);
-  if (entry == nullptr) return NoSession(name);
-  MutexLock lock(entry->mu);
-  return entry->tuner->Save();
+  return Run(name, kPassive, [](Tuner& tuner, WalEdit*) {
+    return Result<std::string>(tuner.Save());
+  });
 }
 
-SessionStatus TuningService::StatusLocked(const std::string& name,
-                                          const Entry& entry) const {
-  const TuningSession& session = entry.tuner->session();
-  SessionStatus status;
-  status.name = name;
-  status.optimizer_key = entry.optimizer_key;
-  status.adapter_key = entry.adapter_key;
-  status.external = entry.external;
-  status.iterations_run = session.iterations_run();
-  status.num_iterations = entry.num_iterations;
-  status.pending_trials = session.pending_trials();
-  status.finished = session.finished();
-  // Scalar accessors, not Snapshot(): status polling must not copy
-  // the whole knowledge base under the session lock.
-  status.default_performance = session.default_performance();
-  status.best_performance = session.best_performance();
-  status.created_unix_ms = entry.created_unix_ms;
-  status.last_activity_unix_ms =
-      entry.last_activity_unix_ms.load(std::memory_order_relaxed);
-  return status;
+Status TuningService::PersistCheckpoint(
+    const std::string& name,
+    const std::function<Status(const std::string& checkpoint)>& persist) {
+  return Run(name, kPassive, [&persist](Tuner& tuner, WalEdit* wal) {
+    LT_RETURN_NOT_OK(persist(tuner.Save()));
+    // A pending trial's ask record is not inside the checkpoint — its
+    // round is uncommitted — so any pending trial keeps the log (its
+    // tail replays idempotently instead).
+    if (wal != nullptr) wal->truncate = tuner.session().pending_trials() == 0;
+    return Status::OK();
+  });
+}
+
+SessionStatus TuningService::StatusOf(const std::string& name,
+                                      Entry& entry) const {
+  return RunLocked(entry, kPassive, [&](Tuner& tuner, WalEdit*) {
+    const TuningSession& session = tuner.session();
+    SessionStatus status;
+    status.name = name;
+    status.optimizer_key = entry.spec.optimizer_key;
+    status.adapter_key = entry.spec.adapter_key;
+    status.external = entry.spec.space != nullptr;
+    status.iterations_run = session.iterations_run();
+    status.num_iterations = entry.spec.num_iterations;
+    status.pending_trials = session.pending_trials();
+    status.finished = session.finished();
+    // Scalar accessors, not Snapshot(): status polling must not copy
+    // the whole knowledge base under the session lock.
+    status.default_performance = session.default_performance();
+    status.best_performance = session.best_performance();
+    status.created_unix_ms = entry.created_unix_ms;
+    status.last_activity_unix_ms =
+        entry.last_activity_unix_ms.load(std::memory_order_relaxed);
+    return status;
+  });
 }
 
 Result<SessionStatus> TuningService::GetStatus(const std::string& name) const {
   std::shared_ptr<Entry> entry = Find(name);
   if (entry == nullptr) return NoSession(name);
-  MutexLock lock(entry->mu);
-  return StatusLocked(name, *entry);
+  return StatusOf(name, *entry);
 }
 
 std::vector<SessionStatus> TuningService::ListSessions() const {
@@ -275,8 +398,7 @@ std::vector<SessionStatus> TuningService::ListSessions() const {
   std::vector<SessionStatus> statuses;
   statuses.reserve(entries.size());
   for (const auto& [name, entry] : entries) {
-    MutexLock lock(entry->mu);
-    statuses.push_back(StatusLocked(name, *entry));
+    statuses.push_back(StatusOf(name, *entry));
   }
   return statuses;
 }
@@ -291,6 +413,7 @@ Result<SessionResult> TuningService::Close(const std::string& name) {
     sessions_.erase(it);
   }
   MutexLock lock(entry->mu);
+  entry->wal.Close();
   return entry->tuner->session().Snapshot();
 }
 

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -15,6 +16,7 @@
 #include "src/core/tuning_session.h"
 #include "src/dbsim/simulated_postgres.h"
 #include "src/harness/tuner.h"
+#include "src/service/trial_wal.h"
 
 namespace llamatune {
 namespace service {
@@ -56,6 +58,12 @@ struct SessionSpec {
   /// races a cohort of configurations through rungs of short runs
   /// (see SessionOptions::racing).
   std::optional<RacingOptions> racing;
+  /// Path of the session's per-tell write-ahead log (see TrialWal);
+  /// empty disables it. Every committed ask, tell, expire and step
+  /// appends one fsync'd record under the session lock, so the log
+  /// order is the commit order. CreateSession and Resume start the
+  /// log empty; Recover replays it (docs/resilience.md).
+  std::string wal_path;
 };
 
 /// \brief A point-in-time view of one managed session.
@@ -125,6 +133,14 @@ class TuningService {
   Status Resume(const std::string& name, const SessionSpec& spec,
                 const std::string& checkpoint);
 
+  /// Crash recovery: Resume from `checkpoint`, then replay the WAL at
+  /// spec.wal_path on top of it before the session is published, and
+  /// keep appending to that log. Replay stops at the first record it
+  /// cannot apply; the session is then still a valid prefix of its
+  /// logged history, so recovery succeeds.
+  Status Recover(const std::string& name, const SessionSpec& spec,
+                 const std::string& checkpoint);
+
   /// \name Ask/tell (any session)
   /// @{
   Result<Trial> Ask(const std::string& name);
@@ -135,25 +151,20 @@ class TuningService {
 
   /// The session's pending (asked, untold) trials in id order — lets
   /// a retrying remote caller adopt a trial whose Ask reply was lost
-  /// instead of drawing a fresh (different) suggestion.
-  Result<std::vector<Trial>> GetPending(const std::string& name) const;
+  /// instead of drawing a fresh (different) suggestion. `next_trial_id`,
+  /// when set, receives the id the next Ask will assign, read under
+  /// the same lock as the list.
+  Result<std::vector<Trial>> GetPending(const std::string& name,
+                                        int64_t* next_trial_id = nullptr) const;
 
   /// Expires one pending trial (see TuningSession::Expire).
   Status Expire(const std::string& name, int64_t trial_id);
 
-  /// The id the session's next Ask will assign (the server's WAL
-  /// replay cursor; see TuningSession::next_trial_id).
-  Result<int64_t> NextTrialId(const std::string& name) const;
-
   /// Expires overdue pending trials on *every* session whose spec set
-  /// pending_deadline_ms; returns the total expired. Called by the
+  /// pending_deadline_ms; returns the total expired. Sessions without
+  /// a deadline are skipped without taking their lock. Called by the
   /// server's periodic maintenance sweep.
   int ExpireOverdue(int64_t now_ms);
-
-  /// Per-session variant returning the expired ids, so the server can
-  /// append matching records to the session's trial WAL.
-  Result<std::vector<int64_t>> ExpireOverdueSession(const std::string& name,
-                                                    int64_t now_ms);
   /// @}
 
   /// Runs one session-driven round (workload/objective sources only;
@@ -162,49 +173,89 @@ class TuningService {
   Status Step(const std::string& name, bool* progressed = nullptr);
 
   /// Steps the session until it finishes (workload/objective sources).
+  /// Each step is one Step call, so each is logged as it commits.
   Status Drive(const std::string& name);
 
   /// Serializes the session's committed trajectory.
   Result<std::string> Checkpoint(const std::string& name) const;
+
+  /// Under the session lock: serializes the checkpoint and hands it to
+  /// `persist`, which must make it durable. Once `persist` succeeded
+  /// and no trial is pending, truncates the session's WAL — everything
+  /// it describes is then inside the durable checkpoint.
+  Status PersistCheckpoint(
+      const std::string& name,
+      const std::function<Status(const std::string& checkpoint)>& persist);
 
   Result<SessionStatus> GetStatus(const std::string& name) const;
 
   /// Status of every live session, sorted by name.
   std::vector<SessionStatus> ListSessions() const;
 
-  /// Removes the session and returns its final result snapshot.
+  /// Removes the session, closes its WAL (the file stays), and
+  /// returns its final result snapshot.
   Result<SessionResult> Close(const std::string& name);
 
   int session_count() const;
 
  private:
   struct Entry {
-    /// Serializes all operations on this session; taken *after*
-    /// releasing the registry mutex so sessions never block each
-    /// other.
+    explicit Entry(const SessionSpec& spec)
+        : spec(spec),
+          created_unix_ms(NowUnixMillis()),
+          last_activity_unix_ms(created_unix_ms) {}
+
+    /// Serializes all operations on this session, WAL appends
+    /// included; taken *after* releasing the registry mutex so
+    /// sessions never block each other.
     mutable Mutex mu;
     /// The whole tuner stack is mu-serialized: every Ask/Tell/Step/
     /// Save path mutates optimizer and session state behind this
     /// pointer.
     std::unique_ptr<harness::Tuner> tuner GUARDED_BY(mu);
-    /// Immutable after BuildEntry publishes the entry.
-    std::string optimizer_key;
-    std::string adapter_key;
-    bool external = false;
-    int num_iterations = 0;
-    int64_t created_unix_ms = 0;
+    /// Open only when the spec named a wal_path.
+    TrialWal wal GUARDED_BY(mu);
+    /// The spec the session was built from.
+    const SessionSpec spec;
+    const int64_t created_unix_ms;
     /// Updated lock-free by every driving operation (see
     /// SessionStatus::last_activity_unix_ms for what counts).
-    std::atomic<int64_t> last_activity_unix_ms{0};
+    std::atomic<int64_t> last_activity_unix_ms;
   };
+
+  /// What one operation asks of the session's WAL. Operations fill
+  /// it; RunLocked applies it under the session lock.
+  struct WalEdit {
+    bool truncate = false;
+    std::vector<std::string> records;
+  };
+
+  /// Whether an operation counts as driving activity (see
+  /// SessionStatus::last_activity_unix_ms).
+  enum Activity { kPassive, kDriving };
 
   /// Looks up `name` under the registry lock; the returned shared_ptr
   /// keeps the entry alive even if Close() races.
   std::shared_ptr<Entry> Find(const std::string& name) const;
-  SessionStatus StatusLocked(const std::string& name,
-                             const Entry& entry) const REQUIRES(entry.mu);
-  static Status BuildEntry(const SessionSpec& spec,
-                           std::shared_ptr<Entry>* out);
+
+  /// The one path to a session's tuner: looks `name` up
+  /// (SessionNotFound otherwise) and runs RunLocked.
+  template <typename Op>
+  auto Run(const std::string& name, Activity activity, Op&& op) const;
+  /// Stamps activity, takes the session lock, runs `op(tuner, wal)`,
+  /// then applies the edit to the session's WAL before releasing the
+  /// lock. `wal` is null when the session keeps no WAL, so records are
+  /// built only for sessions that log. Operations add a record only
+  /// for what they committed, so the log never holds an operation the
+  /// session did not apply.
+  template <typename Op>
+  auto RunLocked(Entry& entry, Activity activity, Op&& op) const;
+
+  SessionStatus StatusOf(const std::string& name, Entry& entry) const;
+  /// Builds the session, optionally restores `checkpoint` and replays
+  /// the WAL, then publishes it with its WAL open.
+  Status Add(const std::string& name, const SessionSpec& spec,
+             const std::string* checkpoint, bool replay_wal);
 
   mutable Mutex mu_;
   std::map<std::string, std::shared_ptr<Entry>> sessions_ GUARDED_BY(mu_);

@@ -1109,6 +1109,106 @@ TEST(ServerWalGoldenTest, LiteralAutosaveAndWalResumeToLiteralTrajectory) {
   server.Stop();
 }
 
+WireSessionSpec SimWireSpec() {
+  WireSessionSpec spec;
+  spec.workload = "YCSB-A";
+  spec.optimizer_key = "random";
+  spec.adapter_key = "llamatune";
+  spec.seed = 5;
+  spec.num_iterations = 6;
+  return spec;
+}
+
+/// Trajectory of an in-process TuningService::Drive of SimWireSpec().
+std::string DrivenSimTrajectory() {
+  TuningService reference;
+  SessionSpec spec;
+  spec.workload = *dbsim::WorkloadByName("YCSB-A");
+  spec.optimizer_key = "random";
+  spec.adapter_key = "llamatune";
+  spec.seed = 5;
+  spec.num_iterations = 6;
+  EXPECT_TRUE(reference.CreateSession("ref", spec).ok());
+  EXPECT_TRUE(reference.Drive("ref").ok());
+  Result<std::string> checkpoint = reference.Checkpoint("ref");
+  EXPECT_TRUE(checkpoint.ok());
+  return checkpoint.ok() ? Trajectory(*checkpoint) : std::string();
+}
+
+TEST(ServerTest, BackgroundDriveStepsAreWalLoggedAndReplayed) {
+  TuningServerOptions options;
+  options.autosave_dir = FreshDir("drivewal");
+  {
+    TuningServer server(options);
+    ASSERT_TRUE(server.Start().ok());
+    TuningClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    ASSERT_TRUE(client.CreateSession("sim", SimWireSpec()).ok());
+    server.RunMaintenance();  // the autosave holds zero iterations
+    // Freeze the autosave: from here on the drive lives only in the WAL,
+    // including through the final autosave sweep of Stop().
+    ASSERT_TRUE(FaultInjection::Configure("autosave.torn=p1"));
+    ASSERT_TRUE(client.StartDrive("sim").ok());
+    for (int i = 0; i < 3000; ++i) {
+      Result<WireSessionStatus> status = client.GetStatus("sim");
+      ASSERT_TRUE(status.ok());
+      if (status->status.finished && !status->driving) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    server.Stop();
+    FaultInjection::Reset();
+  }
+  options.resume_saved_on_start = true;
+  TuningServer successor(options);
+  ASSERT_TRUE(successor.Start().ok());
+  EXPECT_EQ(successor.sessions_restored(), 1);
+  TuningClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", successor.port()).ok());
+  Result<std::string> recovered = client.Checkpoint("sim");
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(Trajectory(*recovered), DrivenSimTrajectory());
+  successor.Stop();
+}
+
+TEST(ServerTest, TellBatchWithNaNBuffersNothingWithOrWithoutWal) {
+  for (bool with_wal : {false, true}) {
+    SCOPED_TRACE(with_wal ? "with autosave_dir" : "without autosave_dir");
+    TuningServerOptions options;
+    if (with_wal) options.autosave_dir = FreshDir("nanbatch");
+    TuningServer server(options);
+    ASSERT_TRUE(server.Start().ok());
+    TuningClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    WireSessionSpec spec = ExternalWireSpec(2);
+    spec.batch_size = 3;
+    ASSERT_TRUE(client.CreateSession("job", spec).ok());
+    Result<std::vector<Trial>> first = client.AskBatch("job", 3);
+    ASSERT_TRUE(first.ok());
+    ASSERT_TRUE(client.TellBatch("job", {Measured(2, (*first)[0])}).ok());
+    Result<std::vector<Trial>> batch = client.AskBatch("job", 3);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch->size(), 3u);
+
+    TrialResult bad = Measured(2, (*batch)[1]);
+    bad.value = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_EQ(client.TellBatch("job", {Measured(2, (*batch)[0]), bad}).code(),
+              StatusCode::kInvalidArgument);
+    if (with_wal) {
+      // Nothing was told, so nothing was logged: the one tell record
+      // is the baseline's.
+      Result<std::vector<std::string>> records =
+          service::TrialWal::ReadRecords(options.autosave_dir + "/" +
+                                         EncodeBytes("job") + ".wal");
+      ASSERT_TRUE(records.ok());
+      ASSERT_EQ(records->size(), 3u);
+      EXPECT_EQ((*records)[2], "askb 3 2");
+    }
+    // Nothing was buffered, so slot 0 is still open for its result.
+    EXPECT_TRUE(client.Tell("job", Measured(2, (*batch)[0])).ok());
+    server.Stop();
+  }
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace llamatune

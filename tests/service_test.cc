@@ -1,16 +1,22 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/common/file_io.h"
 #include "src/dbsim/workloads.h"
 #include "src/harness/tuner.h"
 #include "src/knobs/config_space.h"
+#include "src/service/trial_wal.h"
 #include "src/service/tuning_service.h"
 
 namespace llamatune {
@@ -18,6 +24,7 @@ namespace {
 
 using service::SessionSpec;
 using service::SessionStatus;
+using service::TrialWal;
 using service::TuningService;
 
 bool SameBits(double a, double b) {
@@ -303,6 +310,190 @@ TEST_F(ServiceFixture, ListSessionsReportsAll) {
     EXPECT_EQ(status.optimizer_key, "random");
     EXPECT_EQ(status.adapter_key, "identity");
   }
+}
+
+// ---------------------------------------------------------------------------
+// WAL replay from any prefix reproduces state, in process: no server, no
+// fork, no sleep (expiry runs on an explicit clock).
+// ---------------------------------------------------------------------------
+
+std::string FreshWalDir() {
+  static int counter = 0;
+  std::string dir = ::testing::TempDir() + "llamatune-svcwal-" +
+                    std::to_string(::getpid()) + "-" +
+                    std::to_string(counter++);
+  ::mkdir(dir.c_str(), 0755);
+  return dir;
+}
+
+/// Everything a WAL replay must rebuild: the committed trajectory (its
+/// wall-clock optimizer-seconds token zeroed), the pending trials and
+/// the next trial id.
+std::string SessionState(TuningService& service, const std::string& name) {
+  Result<std::string> checkpoint = service.Checkpoint(name);
+  int64_t next_id = 0;
+  Result<std::vector<Trial>> pending = service.GetPending(name, &next_id);
+  if (!checkpoint.ok() || !pending.ok()) return "<no session>";
+  std::istringstream in(*checkpoint);
+  std::ostringstream out;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("state ", 0) == 0) {
+      line = line.substr(0, line.find_last_of(' ')) + " <wall-clock>";
+    }
+    out << line << '\n';
+  }
+  out << "pending";
+  for (const Trial& trial : *pending) out << ' ' << trial.id;
+  out << "\nnext " << next_id << '\n';
+  return out.str();
+}
+
+SessionSpec WalWorkloadSpec(const std::string& wal_path) {
+  SessionSpec spec;
+  spec.workload = dbsim::YcsbA();
+  spec.optimizer_key = "random";
+  spec.adapter_key = "llamatune";
+  spec.seed = 11;
+  spec.num_iterations = 8;
+  spec.pending_deadline_ms = 1;  // only the explicit clock below expires
+  spec.wal_path = wal_path;
+  return spec;
+}
+
+std::string JoinRecords(const std::vector<std::string>& records) {
+  std::string text;
+  for (const std::string& record : records) text += record + '\n';
+  return text;
+}
+
+class WalReplayTest : public ::testing::Test {
+ protected:
+  /// Records one workload session in which every operation appends
+  /// exactly one record and every record kind occurs; keeps the state
+  /// before the first and after each operation.
+  void SetUp() override {
+    dir_ = FreshWalDir();
+    TuningService service;
+    ASSERT_TRUE(
+        service.CreateSession("rec", WalWorkloadSpec(dir_ + "/rec.wal")).ok());
+    Result<std::string> start = service.Checkpoint("rec");
+    ASSERT_TRUE(start.ok());
+    start_ = *start;
+    states_.push_back(SessionState(service, "rec"));
+
+    auto measure = [](const Trial& trial) {
+      TrialResult result;
+      result.trial_id = trial.id;
+      result.value = 100.0 + trial.config[0];
+      return result;
+    };
+    std::vector<Trial> asked;
+    const std::vector<std::function<Status()>> ops = {
+        [&] { return service.Step("rec"); },  // step 0: the baseline
+        [&] { return service.Step("rec"); },  // step 0: iteration 1
+        [&] {
+          Result<Trial> trial = service.Ask("rec");
+          if (trial.ok()) asked.push_back(*trial);
+          return trial.status();
+        },
+        [&] { return service.Tell("rec", measure(asked.at(0))); },
+        [&] {
+          Result<std::vector<Trial>> trials = service.AskBatch("rec", 2);
+          if (trials.ok()) asked.insert(asked.end(), trials->begin(),
+                                        trials->end());
+          return trials.status();
+        },
+        [&] { return service.TellBatch("rec", {measure(asked.at(1))}); },
+        [&] {
+          return service.ExpireOverdue(int64_t{1} << 60) == 1
+                     ? Status::OK()
+                     : Status::Internal("expected one expiry");
+        },
+        [&] { return service.Step("rec"); },
+        [&] {
+          Result<Trial> trial = service.Ask("rec");
+          return trial.status();
+        },
+    };
+    for (const std::function<Status()>& op : ops) {
+      Status status = op();
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      states_.push_back(SessionState(service, "rec"));
+    }
+    Result<std::vector<std::string>> records =
+        TrialWal::ReadRecords(dir_ + "/rec.wal");
+    ASSERT_TRUE(records.ok());
+    records_ = *records;
+    ASSERT_EQ(records_.size(), ops.size());
+  }
+
+  /// Recovers a session from `checkpoint` plus `records` and returns
+  /// its state.
+  std::string Replay(const std::string& checkpoint,
+                     const std::vector<std::string>& records) {
+    const std::string name = "replay-" + std::to_string(replays_++);
+    const std::string path = dir_ + "/" + name + ".wal";
+    EXPECT_TRUE(AtomicWriteFile(path, JoinRecords(records)).ok());
+    TuningService service;
+    Status recovered =
+        service.Recover(name, WalWorkloadSpec(path), checkpoint);
+    EXPECT_TRUE(recovered.ok()) << recovered.ToString();
+    return SessionState(service, name);
+  }
+
+  std::string dir_;
+  std::string start_;
+  std::vector<std::string> states_;
+  std::vector<std::string> records_;
+  int replays_ = 0;
+};
+
+TEST_F(WalReplayTest, RecordsEveryKindInCommitOrder) {
+  std::vector<std::string> kinds;
+  for (const std::string& record : records_) {
+    kinds.push_back(record.substr(0, record.find(' ')));
+  }
+  EXPECT_EQ(kinds, (std::vector<std::string>{"step", "step", "ask1", "tell",
+                                             "askb", "tell", "expire", "step",
+                                             "ask1"}));
+}
+
+TEST_F(WalReplayTest, EveryPrefixReplaysToTheStateAfterThatManyOperations) {
+  for (size_t k = 0; k <= records_.size(); ++k) {
+    SCOPED_TRACE("prefix of " + std::to_string(k) + " records");
+    std::vector<std::string> prefix(records_.begin(), records_.begin() + k);
+    EXPECT_EQ(Replay(start_, prefix), states_[k]);
+  }
+}
+
+TEST_F(WalReplayTest, RecordsInsideTheCheckpointAreSkipped) {
+  // A later checkpoint already covers the first four operations: their
+  // ask records sit below the cursor and their tells answer
+  // AlreadyExists; everything after the cursor is re-issued.
+  std::vector<std::string> first_four(records_.begin(), records_.begin() + 4);
+  EXPECT_EQ(Replay(start_, first_four), states_[4]);
+  std::string mid_checkpoint;
+  {
+    TuningService recorder;
+    const std::string path = dir_ + "/mid.wal";
+    ASSERT_TRUE(AtomicWriteFile(path, JoinRecords(first_four)).ok());
+    ASSERT_TRUE(recorder.Recover("mid", WalWorkloadSpec(path), start_).ok());
+    Result<std::string> checkpoint = recorder.Checkpoint("mid");
+    ASSERT_TRUE(checkpoint.ok());
+    mid_checkpoint = *checkpoint;
+  }
+  EXPECT_EQ(Replay(mid_checkpoint, records_), states_.back());
+}
+
+TEST_F(WalReplayTest, ReplayStopsAtAGap) {
+  // Without the third operation's ask record, the askb record after
+  // the two steps is above the cursor: replay stops there, at the state
+  // after the first two operations. Nothing after a gap is applied,
+  // not even the later step record, which would apply on its own.
+  const std::vector<std::string> gapped = {records_[0], records_[1],
+                                           records_[4], records_[7]};
+  EXPECT_EQ(Replay(start_, gapped), states_[2]);
 }
 
 }  // namespace
