@@ -660,10 +660,16 @@ std::string TuningServer::HandleRequest(const ConnPtr& conn,
       return EncodeFrame(MessageKind::kStatusReply, EncodeStatusReply(wire));
     }
     case MessageKind::kListSessions: {
+      std::vector<service::SessionStatus> statuses = service_.ListSessions();
       std::vector<WireSessionStatus> wire;
-      for (const service::SessionStatus& status : service_.ListSessions()) {
-        MetaPtr meta = MetaFor(status.name);
-        wire.push_back({status, meta != nullptr && meta->driving.load()});
+      wire.reserve(statuses.size());
+      MutexLock lock(meta_mu_);
+      for (service::SessionStatus& status : statuses) {
+        WireSessionStatus w;
+        auto it = metas_.find(status.name);
+        if (it != metas_.end()) w.driving = it->second->driving.load();
+        w.status = std::move(status);
+        wire.push_back(std::move(w));
       }
       return EncodeFrame(MessageKind::kStatusListReply,
                          EncodeStatusListReply(wire));
@@ -1013,17 +1019,17 @@ void TuningServer::AutosaveSweep() {
 void TuningServer::EvictionSweep() {
   if (options_.idle_eviction_ms <= 0) return;
   int64_t now = service::NowUnixMillis();
-  for (const auto& [name, meta] : Metas()) {
-    if (meta->driving.load()) continue;
-    Result<service::SessionStatus> status = service_.GetStatus(name);
-    if (!status.ok() ||
-        now - status->last_activity_unix_ms < options_.idle_eviction_ms) {
+  for (const service::SessionStatus& status : service_.ListSessions()) {
+    MetaPtr meta = MetaFor(status.name);
+    // The server only evicts sessions it created over the wire.
+    if (meta == nullptr || meta->driving.load()) continue;
+    if (now - status.last_activity_unix_ms < options_.idle_eviction_ms) {
       continue;
     }
-    AutosaveSession(name, meta).ok();
-    if (service_.Close(name).ok()) {
+    AutosaveSession(status.name, meta).ok();
+    if (service_.Close(status.name).ok()) {
       sessions_evicted_.fetch_add(1);
-      ForgetMeta(name);
+      ForgetMeta(status.name);
     }
   }
 }
