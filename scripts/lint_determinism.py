@@ -78,7 +78,6 @@ import sys
 # frames; iteration order and float rounding there ARE the protocol.
 SERDE_PATHS = (
     "src/common/serde.",
-    "src/core/session_log.",
     "src/core/tuning_session.",
     "src/optimizer/history_io.",
     "src/net/",

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -109,6 +110,12 @@ class TokenWriter {
   void Optional(const char* tag, const T& value, const T& absent) {
     if (!(value == absent)) Field(tag, value);
   }
+  /// `tag`, a 0/1 presence flag, then `each(*this, *value)` if set.
+  template <class T, class F>
+  void Maybe(const char* tag, const std::optional<T>& value, F&& each) {
+    Field(tag, value.has_value());
+    if (value.has_value()) each(*this, *value);
+  }
 
   /// Decoder-side validation and end-of-stream checks: no-ops here.
   void Check(bool /*condition*/, const char* /*message*/) {}
@@ -205,6 +212,13 @@ class TokenReader {
   void Optional(const char* tag, T& value, const T& absent) {
     value = absent;
     if (PeekIs(tag)) Field(tag, value);
+  }
+  template <class T, class F>
+  void Maybe(const char* tag, std::optional<T>& value, F&& each) {
+    bool present = false;
+    Field(tag, present);
+    value.reset();
+    if (ok() && present) each(*this, value.emplace());
   }
 
   /// Moves a nested decode's value into `out`, or adopts its error.

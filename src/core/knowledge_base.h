@@ -20,8 +20,8 @@ struct IterationRecord {
   double measured = 0.0;
   /// Internal objective handed to the optimizer (maximize convention).
   double objective = 0.0;
-  /// True for kCrashed outcomes (kept alongside `outcome` for the
-  /// session-log CSV column and historical call sites).
+  /// True for kCrashed outcomes (kept alongside `outcome` for
+  /// historical call sites).
   bool crashed = false;
   /// How the evaluation ended (crash / timeout / lost runs score the
   /// per-outcome penalty).

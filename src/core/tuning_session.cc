@@ -58,14 +58,13 @@ void WriteOptionsLine(const SessionOptions& options, bool racing_block,
     out->Value(options.early_stopping->patience());
   }
   if (racing_block) {
-    out->Field("racing", options.racing.has_value());
-    if (options.racing.has_value()) {
-      out->Value(options.racing->cohort);
-      out->Value(options.racing->rungs);
-      out->Value(options.racing->min_fidelity);
-      out->Value(options.racing->eta);
-      out->Value(options.racing->ci_z);
-    }
+    out->Maybe("racing", options.racing, [](auto& io, auto& racing) {
+      io.Value(racing.cohort);
+      io.Value(racing.rungs);
+      io.Value(racing.min_fidelity);
+      io.Value(racing.eta);
+      io.Value(racing.ci_z);
+    });
   }
   out->EndLine();
 }

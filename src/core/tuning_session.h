@@ -67,22 +67,17 @@ struct RacingOptions {
   Status Validate() const;
 };
 
-/// \brief Session-level settings (paper §6.1 defaults).
-struct SessionOptions {
+/// \brief The session settings every caller may set: in process
+/// (SessionOptions, harness::TunerConfig), through the service
+/// (service::SessionSpec) and over the wire (net::WireSessionSpec),
+/// which all extend this one struct. Paper §6.1 defaults.
+struct SessionSettings {
   /// Tuning iterations after the default-config baseline run. 0 is
-  /// legal (baseline-only session); negative is rejected by
+  /// legal for a TuningSession built directly (a baseline-only
+  /// session); sessions built by TunerBuilder — and so by the service
+  /// and the wire server — reject it. Negative is rejected by
   /// Validate().
   int num_iterations = 100;
-  /// Crash penalty: crashed configurations score (worst seen) / this
-  /// factor under maximization (and worst * factor when minimizing).
-  double crash_penalty_divisor = 4.0;
-  /// Penalty divisors for the other failure outcomes (same
-  /// quarter-of-worst convention): a timed-out evaluation, and one
-  /// whose evaluator vanished (kLost). Defaults match the crash
-  /// penalty, so a session that never distinguishes outcomes behaves
-  /// exactly as before.
-  double timeout_penalty_divisor = 4.0;
-  double lost_penalty_divisor = 4.0;
   /// Deadline for pending (asked, untold) trials in milliseconds;
   /// 0 disables. Expiry is never implicit: it happens only when the
   /// caller invokes ExpireOverdue(now_ms) (the server's maintenance
@@ -114,8 +109,6 @@ struct SessionOptions {
   /// (seed, batch size) session is bit-for-bit reproducible at any
   /// thread count.
   int num_threads = 0;
-  /// Optional early-stopping policy (appendix, Table 11).
-  std::optional<EarlyStoppingPolicy> early_stopping;
   /// Optional multi-fidelity racing stage (see RacingOptions). When
   /// set, every post-baseline iteration is a race: Ask/AskBatch hand
   /// out the current rung's short-run trials, and one observation (the
@@ -123,6 +116,23 @@ struct SessionOptions {
   /// trials are exempt from pending-deadline expiry — a rung must
   /// complete for the race to stay deterministic.
   std::optional<RacingOptions> racing;
+};
+
+/// \brief Everything a TuningSession runs with: the shared settings
+/// plus the options only in-process callers set.
+struct SessionOptions : SessionSettings {
+  /// Crash penalty: crashed configurations score (worst seen) / this
+  /// factor under maximization (and worst * factor when minimizing).
+  double crash_penalty_divisor = 4.0;
+  /// Penalty divisors for the other failure outcomes (same
+  /// quarter-of-worst convention): a timed-out evaluation, and one
+  /// whose evaluator vanished (kLost). Defaults match the crash
+  /// penalty, so a session that never distinguishes outcomes behaves
+  /// exactly as before.
+  double timeout_penalty_divisor = 4.0;
+  double lost_penalty_divisor = 4.0;
+  /// Optional early-stopping policy (appendix, Table 11).
+  std::optional<EarlyStoppingPolicy> early_stopping;
 
   /// Rejects out-of-domain settings (batch_size < 1, num_threads < 0,
   /// num_iterations < 0, crash_penalty_divisor <= 0). TuningSession

@@ -42,33 +42,38 @@ TunerBuilder& TunerBuilder::Space(const ConfigSpace* space, bool maximize) {
   return *this;
 }
 
+TunerBuilder& TunerBuilder::Config(const TunerConfig& config) {
+  config_ = config;
+  return *this;
+}
+
 TunerBuilder& TunerBuilder::Optimizer(std::string key) {
-  optimizer_key_ = std::move(key);
+  config_.optimizer_key = std::move(key);
   return *this;
 }
 
 TunerBuilder& TunerBuilder::Adapter(std::string key) {
-  adapter_key_ = std::move(key);
+  config_.adapter_key = std::move(key);
   return *this;
 }
 
 TunerBuilder& TunerBuilder::Seed(uint64_t seed) {
-  seed_ = seed;
+  config_.seed = seed;
   return *this;
 }
 
 TunerBuilder& TunerBuilder::Iterations(int num_iterations) {
-  num_iterations_ = num_iterations;
+  config_.num_iterations = num_iterations;
   return *this;
 }
 
 TunerBuilder& TunerBuilder::BatchSize(int batch_size) {
-  batch_size_ = batch_size;
+  config_.batch_size = batch_size;
   return *this;
 }
 
 TunerBuilder& TunerBuilder::Threads(int num_threads) {
-  num_threads_ = num_threads;
+  config_.num_threads = num_threads;
   return *this;
 }
 
@@ -78,12 +83,12 @@ TunerBuilder& TunerBuilder::EarlyStopping(EarlyStoppingPolicy policy) {
 }
 
 TunerBuilder& TunerBuilder::PendingDeadlineMs(int64_t deadline_ms) {
-  pending_deadline_ms_ = deadline_ms;
+  config_.pending_deadline_ms = deadline_ms;
   return *this;
 }
 
 TunerBuilder& TunerBuilder::Racing(RacingOptions racing) {
-  racing_ = racing;
+  config_.racing = racing;
   return *this;
 }
 
@@ -115,11 +120,8 @@ Result<std::unique_ptr<Tuner>> TunerBuilder::BuildImpl(
         "TunerBuilder: a bare Space() has nothing to evaluate — use "
         "BuildDetached() and drive the session through Ask/Tell");
   }
-  if (num_iterations_ <= 0) {
+  if (config_.num_iterations <= 0) {
     return Status::InvalidArgument("TunerBuilder: Iterations() must be > 0");
-  }
-  if (batch_size_ <= 0) {
-    return Status::InvalidArgument("TunerBuilder: BatchSize() must be > 0");
   }
 
   std::unique_ptr<Tuner> tuner(new Tuner());
@@ -129,7 +131,7 @@ Result<std::unique_ptr<Tuner>> TunerBuilder::BuildImpl(
     config_space = &external_objective_->config_space();
   } else if (workload_.has_value()) {
     dbsim::SimulatedPostgresOptions db_options = db_options_;
-    db_options.noise_seed = seed_;
+    db_options.noise_seed = config_.seed;
     tuner->owned_objective_ = std::make_unique<dbsim::SimulatedPostgres>(
         *workload_, db_options);
     tuner->objective_ = tuner->owned_objective_.get();
@@ -137,23 +139,21 @@ Result<std::unique_ptr<Tuner>> TunerBuilder::BuildImpl(
   }
 
   Result<std::unique_ptr<SpaceAdapter>> adapter =
-      AdapterRegistry::Global().Create(adapter_key_, config_space, seed_);
+      AdapterRegistry::Global().Create(config_.adapter_key, config_space,
+                                       config_.seed);
   if (!adapter.ok()) return adapter.status();
   tuner->adapter_ = std::move(adapter).ValueOrDie();
 
   Result<std::unique_ptr<::llamatune::Optimizer>> optimizer =
       OptimizerRegistry::Global().Create(
-          optimizer_key_, tuner->adapter_->search_space(), seed_);
+          config_.optimizer_key, tuner->adapter_->search_space(),
+          config_.seed);
   if (!optimizer.ok()) return optimizer.status();
   tuner->optimizer_ = std::move(optimizer).ValueOrDie();
 
   SessionOptions session_options;
-  session_options.num_iterations = num_iterations_;
-  session_options.batch_size = batch_size_;
-  session_options.num_threads = num_threads_;
+  static_cast<SessionSettings&>(session_options) = config_;
   session_options.early_stopping = early_stopping_;
-  session_options.pending_deadline_ms = pending_deadline_ms_;
-  session_options.racing = racing_;
   LT_RETURN_NOT_OK(session_options.Validate());
   if (tuner->objective_ != nullptr) {
     tuner->session_ = std::make_unique<TuningSession>(

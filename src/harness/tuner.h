@@ -16,6 +16,20 @@
 namespace llamatune {
 namespace harness {
 
+/// \brief One tuning session's configuration: the shared session
+/// settings plus the registry keys and seed that pick the stack.
+/// TunerBuilder holds one; service::SessionSpec and
+/// net::WireSessionSpec extend it with their objective sources, so a
+/// session setting is declared once, here or in SessionSettings.
+struct TunerConfig : SessionSettings {
+  /// OptimizerRegistry key.
+  std::string optimizer_key = "smac";
+  /// AdapterRegistry key ("llamatune" = HeSBO-16 + SVB + bucketing).
+  std::string adapter_key = "llamatune";
+  /// Seeds the optimizer, the projection matrix, and simulator noise.
+  uint64_t seed = 42;
+};
+
 /// \brief A fully wired tuning stack: objective + adapter + optimizer
 /// + session, assembled by TunerBuilder. Owns every component it
 /// created (external objectives stay caller-owned).
@@ -122,6 +136,10 @@ class TunerBuilder {
   /// exclusive with Workload() and Objective().
   TunerBuilder& Space(const ConfigSpace* space, bool maximize = true);
 
+  /// Every TunerConfig setting at once (the setters below write
+  /// single fields of the same config).
+  TunerBuilder& Config(const TunerConfig& config);
+
   /// OptimizerRegistry key (default "smac").
   TunerBuilder& Optimizer(std::string key);
 
@@ -131,6 +149,7 @@ class TunerBuilder {
   /// Seeds the optimizer, the projection matrix, and simulator noise.
   TunerBuilder& Seed(uint64_t seed);
 
+  /// Must be > 0 (see SessionSettings::num_iterations).
   TunerBuilder& Iterations(int num_iterations);
 
   /// Configurations evaluated per step (parallel across simulator
@@ -138,18 +157,18 @@ class TunerBuilder {
   TunerBuilder& BatchSize(int batch_size);
 
   /// Executor cap for the session's parallel batch evaluation
-  /// (0 = shared pool size, 1 = serial; see SessionOptions).
+  /// (0 = shared pool size, 1 = serial; see SessionSettings).
   TunerBuilder& Threads(int num_threads);
 
   TunerBuilder& EarlyStopping(EarlyStoppingPolicy policy);
 
   /// Deadline for pending (asked, untold) trials in milliseconds;
-  /// 0 (default) disables. See SessionOptions::pending_deadline_ms.
+  /// 0 (default) disables. See SessionSettings::pending_deadline_ms.
   TunerBuilder& PendingDeadlineMs(int64_t deadline_ms);
 
   /// Racing (successive-halving) evaluation: each budget iteration
   /// races a cohort through rungs of short runs and commits only the
-  /// champion. See SessionOptions::racing and docs/racing.md.
+  /// champion. See SessionSettings::racing and docs/racing.md.
   TunerBuilder& Racing(RacingOptions racing);
 
   /// Builds the stack. Fails when no objective source was configured,
@@ -173,15 +192,8 @@ class TunerBuilder {
   ObjectiveFunction* external_objective_ = nullptr;
   const ConfigSpace* external_space_ = nullptr;
   bool external_space_maximize_ = true;
-  std::string optimizer_key_ = "smac";
-  std::string adapter_key_ = "llamatune";
-  uint64_t seed_ = 42;
-  int num_iterations_ = 100;
-  int batch_size_ = 1;
-  int num_threads_ = 0;
+  TunerConfig config_;
   std::optional<EarlyStoppingPolicy> early_stopping_;
-  int64_t pending_deadline_ms_ = 0;
-  std::optional<RacingOptions> racing_;
 };
 
 }  // namespace harness

@@ -145,14 +145,13 @@ constexpr auto kSpec = [](auto& io, auto& spec) {
   io.Field("threads", spec.num_threads);
   if (version >= 2) io.Field("deadline", spec.pending_deadline_ms);
   if (version >= 3) {
-    io.Field("racing", spec.racing);
-    if (spec.racing) {
-      io.Field("cohort", spec.racing_cohort);
-      io.Field("rungs", spec.racing_rungs);
-      io.Field("minfid", spec.racing_min_fidelity);
-      io.Field("eta", spec.racing_eta);
-      io.Field("ciz", spec.racing_ci_z);
-    }
+    io.Maybe("racing", spec.racing, [](auto& io, auto& racing) {
+      io.Field("cohort", racing.cohort);
+      io.Field("rungs", racing.rungs);
+      io.Field("minfid", racing.min_fidelity);
+      io.Field("eta", racing.eta);
+      io.Field("ciz", racing.ci_z);
+    });
   }
 };
 

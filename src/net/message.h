@@ -45,13 +45,17 @@ WireError WireErrorFromStatus(const Status& status);
 /// Rebuilds a Status from a kError reply (the client's view).
 Status StatusFromWireError(WireError code, std::string message);
 
-/// \brief A SessionSpec that can cross the wire. Exactly one source:
-/// a workload *name* (resolved server-side via dbsim::WorkloadByName)
-/// or a serialized knob space (the server owns the rebuilt ConfigSpace
-/// for the session's lifetime). Pointer-based sources (external
-/// ObjectiveFunction) and per-session simulator/early-stopping options
-/// cannot cross a process boundary and stay API-only.
-struct WireSessionSpec {
+/// \brief A SessionSpec that can cross the wire: a TunerConfig plus
+/// exactly one source — a workload *name* (resolved server-side via
+/// dbsim::WorkloadByName) or a serialized knob space (the server owns
+/// the rebuilt ConfigSpace for the session's lifetime). Pointer-based
+/// sources (external ObjectiveFunction) and per-session
+/// simulator/early-stopping options cannot cross a process boundary
+/// and stay API-only. Spec section v2 added pending_deadline_ms and
+/// v3 the racing block; v1/v2 payloads decode with no deadline and
+/// racing off, so pre-racing peers and autosave files keep their
+/// fixed-fidelity behavior.
+struct WireSessionSpec : harness::TunerConfig {
   /// Workload source ("YCSB-A", "TPC-C", ...); empty for space specs.
   std::string workload;
   /// Space source: the external DBMS's knob list (KnobSpec.description
@@ -59,27 +63,6 @@ struct WireSessionSpec {
   std::vector<KnobSpec> space_knobs;
   /// Objective convention for space sources (false = latency-style).
   bool maximize = true;
-
-  std::string optimizer_key = "smac";
-  std::string adapter_key = "llamatune";
-  uint64_t seed = 42;
-  int num_iterations = 100;
-  int batch_size = 1;
-  int num_threads = 0;
-  /// Deadline for pending (asked, untold) trials in milliseconds; 0
-  /// disables (see service::SessionSpec::pending_deadline_ms). Added
-  /// in spec section v2; v1 payloads decode with 0.
-  int64_t pending_deadline_ms = 0;
-  /// Racing (successive-halving) evaluation. Added in spec section
-  /// v3; v1/v2 payloads decode with racing off, so pre-racing peers
-  /// and autosave files keep their fixed-fidelity behavior. The
-  /// parameter fields mirror core::RacingOptions.
-  bool racing = false;
-  int racing_cohort = 8;
-  int racing_rungs = 3;
-  double racing_min_fidelity = 0.25;
-  double racing_eta = 2.0;
-  double racing_ci_z = 1.96;
 };
 
 /// \brief Server lifecycle state machine (docs/resilience.md).

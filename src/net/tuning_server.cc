@@ -926,22 +926,7 @@ Status TuningServer::BuildSessionSpec(const std::string& name,
     out->space = owned_space->get();
     out->maximize = wire.maximize;
   }
-  out->optimizer_key = wire.optimizer_key;
-  out->adapter_key = wire.adapter_key;
-  out->seed = wire.seed;
-  out->num_iterations = wire.num_iterations;
-  out->batch_size = wire.batch_size;
-  out->num_threads = wire.num_threads;
-  out->pending_deadline_ms = wire.pending_deadline_ms;
-  if (wire.racing) {
-    RacingOptions racing;
-    racing.cohort = wire.racing_cohort;
-    racing.rungs = wire.racing_rungs;
-    racing.min_fidelity = wire.racing_min_fidelity;
-    racing.eta = wire.racing_eta;
-    racing.ci_z = wire.racing_ci_z;
-    out->racing = racing;
-  }
+  static_cast<harness::TunerConfig&>(*out) = wire;
   if (!options_.autosave_dir.empty()) out->wal_path = WalPath(name);
   return Status::OK();
 }

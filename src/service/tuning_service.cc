@@ -49,18 +49,9 @@ Result<std::unique_ptr<Tuner>> BuildTuner(const SessionSpec& spec) {
   } else {
     builder.Space(spec.space, spec.maximize);
   }
-  builder.Optimizer(spec.optimizer_key)
-      .Adapter(spec.adapter_key)
-      .Seed(spec.seed)
-      .Iterations(spec.num_iterations)
-      .BatchSize(spec.batch_size)
-      .Threads(spec.num_threads)
-      .PendingDeadlineMs(spec.pending_deadline_ms);
+  builder.Config(spec);
   if (spec.early_stopping.has_value()) {
     builder.EarlyStopping(*spec.early_stopping);
-  }
-  if (spec.racing.has_value()) {
-    builder.Racing(*spec.racing);
   }
   // Sessions are always built detached-capable: ask/tell is the
   // service's native protocol, and Step/Drive additionally work when

@@ -21,8 +21,9 @@
 namespace llamatune {
 namespace service {
 
-/// \brief Everything needed to spin up one tuning job. Exactly one
-/// objective source must be set:
+/// \brief Everything needed to spin up one tuning job: a TunerConfig
+/// plus the objective source, early stopping and the WAL path.
+/// Exactly one objective source must be set:
 ///
 ///  * `workload`   — tune the bundled simulated PostgreSQL; the
 ///                   service can evaluate trials itself (Step/Drive).
@@ -31,7 +32,10 @@ namespace service {
 ///  * `space`      — external DBMS the service cannot call into: only
 ///                   the knob space is known and the caller measures
 ///                   every trial through Ask/Tell.
-struct SessionSpec {
+///
+/// Overdue pending trials (pending_deadline_ms) are expired by
+/// ExpireOverdue, which the server's maintenance sweep calls.
+struct SessionSpec : harness::TunerConfig {
   std::optional<dbsim::WorkloadSpec> workload;
   dbsim::SimulatedPostgresOptions db_options;
   ObjectiveFunction* objective = nullptr;
@@ -39,25 +43,7 @@ struct SessionSpec {
   /// Objective convention for `space` sources (false = latency-style).
   bool maximize = true;
 
-  /// OptimizerRegistry / AdapterRegistry keys.
-  std::string optimizer_key = "smac";
-  std::string adapter_key = "llamatune";
-  uint64_t seed = 42;
-  int num_iterations = 100;
-  int batch_size = 1;
-  /// Executor cap for this session's parallel batch evaluation over
-  /// the shared thread pool (0 = pool size).
-  int num_threads = 0;
   std::optional<EarlyStoppingPolicy> early_stopping;
-  /// Deadline for pending (asked, untold) trials in milliseconds; 0
-  /// disables. Overdue trials are expired by ExpireOverdue (the
-  /// server's maintenance sweep calls it): budget reclaimed, late
-  /// Tell answered with TrialExpired.
-  int64_t pending_deadline_ms = 0;
-  /// Racing (successive-halving) evaluation: each budget iteration
-  /// races a cohort of configurations through rungs of short runs
-  /// (see SessionOptions::racing).
-  std::optional<RacingOptions> racing;
   /// Path of the session's per-tell write-ahead log (see TrialWal);
   /// empty disables it. Every committed ask, tell, expire and step
   /// appends one fsync'd record under the session lock, so the log

@@ -7,8 +7,8 @@
 
 #include <cstdio>
 
+#include "src/common/file_io.h"
 #include "src/core/adapter_registry.h"
-#include "src/core/session_log.h"
 #include "src/core/tuning_session.h"
 #include "src/dbsim/simulated_postgres.h"
 #include "src/optimizer/gp_bo.h"
@@ -291,8 +291,8 @@ TEST(CheckpointTest, CheckpointFileRoundTrips) {
   for (int i = 0; i < 7; ++i) ASSERT_TRUE(first.session->Step());
 
   std::string path = ::testing::TempDir() + "/llamatune_checkpoint.txt";
-  ASSERT_TRUE(SaveCheckpointFile(first.session->Save(), path).ok());
-  Result<std::string> loaded = LoadCheckpointFile(path);
+  ASSERT_TRUE(AtomicWriteFile(path, first.session->Save()).ok());
+  Result<std::string> loaded = ReadFile(path);
   ASSERT_TRUE(loaded.ok());
 
   Stack resumed = MakeStack("random", "llamatune", 23, options);
@@ -303,7 +303,7 @@ TEST(CheckpointTest, CheckpointFileRoundTrips) {
   EXPECT_TRUE(ResultsBitIdentical(reference.session->Run(), via_file));
   std::remove(path.c_str());
 
-  EXPECT_EQ(LoadCheckpointFile("/no/such/dir/ckpt").status().code(),
+  EXPECT_EQ(ReadFile("/no/such/dir/ckpt").status().code(),
             StatusCode::kNotFound);
 }
 

@@ -513,20 +513,21 @@ TEST(MessageTest, SessionSpecRoundTripsPendingDeadlineAndLegacyV1) {
 TEST(MessageTest, SessionSpecRoundTripsRacingBlock) {
   WireSessionSpec spec;
   spec.workload = "TPC-C";
-  spec.racing = true;
-  spec.racing_cohort = 6;
-  spec.racing_rungs = 4;
-  spec.racing_min_fidelity = 0.125;
-  spec.racing_eta = 3.0;
-  spec.racing_ci_z = 2.33;
+  RacingOptions racing;
+  racing.cohort = 6;
+  racing.rungs = 4;
+  racing.min_fidelity = 0.125;
+  racing.eta = 3.0;
+  racing.ci_z = 2.33;
+  spec.racing = racing;
   Result<WireSessionSpec> back = DecodeSessionSpec(EncodeSessionSpec(spec));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_TRUE(back->racing);
-  EXPECT_EQ(back->racing_cohort, 6);
-  EXPECT_EQ(back->racing_rungs, 4);
-  EXPECT_EQ(back->racing_min_fidelity, 0.125);
-  EXPECT_EQ(back->racing_eta, 3.0);
-  EXPECT_EQ(back->racing_ci_z, 2.33);
+  ASSERT_TRUE(back->racing.has_value());
+  EXPECT_EQ(back->racing->cohort, 6);
+  EXPECT_EQ(back->racing->rungs, 4);
+  EXPECT_EQ(back->racing->min_fidelity, 0.125);
+  EXPECT_EQ(back->racing->eta, 3.0);
+  EXPECT_EQ(back->racing->ci_z, 2.33);
 }
 
 TEST(MessageTest, PendingReplyRoundTrips) {

@@ -518,12 +518,13 @@ TEST(ServerCrashTest, Kill9MidRaceResumesTournamentBitForBit) {
   spec_wire.adapter_key = "identity";
   spec_wire.seed = 777;
   spec_wire.num_iterations = 4;
-  spec_wire.racing = true;
-  spec_wire.racing_cohort = 4;
-  spec_wire.racing_rungs = 3;
-  spec_wire.racing_min_fidelity = 0.25;
-  spec_wire.racing_eta = 2.0;
-  spec_wire.racing_ci_z = 1.96;
+  RacingOptions racing;
+  racing.cohort = 4;
+  racing.rungs = 3;
+  racing.min_fidelity = 0.25;
+  racing.eta = 2.0;
+  racing.ci_z = 1.96;
+  spec_wire.racing = racing;
 
   // Asks out the current round — the baseline, or one whole rung (the
   // server answers FailedPrecondition once the rung is fully handed
@@ -619,12 +620,6 @@ TEST(ServerCrashTest, Kill9MidRaceResumesTournamentBitForBit) {
   spec.adapter_key = "identity";
   spec.seed = 777;
   spec.num_iterations = 4;
-  RacingOptions racing;
-  racing.cohort = 4;
-  racing.rungs = 3;
-  racing.min_fidelity = 0.25;
-  racing.eta = 2.0;
-  racing.ci_z = 1.96;
   spec.racing = racing;
   ASSERT_TRUE(reference.CreateSession("ref", spec).ok());
   for (;;) {

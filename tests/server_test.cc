@@ -18,6 +18,7 @@
 #include "src/common/fault_injection.h"
 #include "src/common/file_io.h"
 #include "src/common/serde.h"
+#include "src/harness/tuner.h"
 #include "src/knobs/config_space.h"
 #include "src/net/frame.h"
 #include "src/net/message.h"
@@ -211,6 +212,106 @@ TEST(ServerTest, WireDrivenSessionMatchesInProcessBitForBit) {
   Result<WireCloseResult> closed = client.Close("job");
   ASSERT_TRUE(closed.ok());
   EXPECT_EQ(closed->iterations_run, 12);
+  server.Stop();
+}
+
+/// Asks out one round — the baseline, or one whole racing rung (Ask
+/// answers FailedPrecondition once the rung is handed out) — and tells
+/// every result. Works over a TuningClient and a TuningService alike.
+template <class Api>
+void AskAndTellOneRound(Api& api, const std::string& name, int job) {
+  std::vector<Trial> trials;
+  for (;;) {
+    Result<Trial> trial = api.Ask(name);
+    if (!trial.ok()) break;
+    bool is_baseline = trial->is_baseline;
+    trials.push_back(std::move(trial).ValueOrDie());
+    if (is_baseline) break;
+  }
+  for (const Trial& trial : trials) {
+    TrialResult result;
+    result.trial_id = trial.id;
+    result.value = ExternalMeasure(job, trial.config);
+    ASSERT_TRUE(api.Tell(name, result).ok());
+  }
+}
+
+std::string OptionsLine(const std::string& checkpoint) {
+  std::istringstream in(checkpoint);
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("options ", 0) == 0) return line;
+  }
+  return "";
+}
+
+/// The wire -> service conversion: a spec with every wire-carried
+/// setting off its default builds the same session as its TunerConfig
+/// handed to TuningService in process.
+TEST(ServerTest, WireSpecBuildsTheSameSessionAsItsTunerConfig) {
+  harness::TunerConfig config;
+  config.optimizer_key = "random";
+  config.adapter_key = "identity";
+  config.seed = 9001;
+  config.num_iterations = 5;
+  config.batch_size = 3;
+  config.num_threads = 2;
+  config.pending_deadline_ms = 600000;
+  RacingOptions racing;
+  racing.cohort = 3;
+  racing.rungs = 2;
+  racing.min_fidelity = 0.5;
+  racing.eta = 3.0;
+  racing.ci_z = 1.0;
+  config.racing = racing;
+
+  WireSessionSpec wire;
+  static_cast<harness::TunerConfig&>(wire) = config;
+  wire.space_knobs = TestKnobs();
+  wire.maximize = false;
+  ConfigSpace space = *ConfigSpace::Create(TestKnobs());
+  SessionSpec local;
+  static_cast<harness::TunerConfig&>(local) = config;
+  local.space = &space;
+  local.maximize = false;
+
+  TuningServer server;
+  ASSERT_TRUE(server.Start().ok());
+  TuningClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(client.CreateSession("job", wire).ok());
+  TuningService reference;
+  ASSERT_TRUE(reference.CreateSession("job", local).ok());
+  // The baseline, then two races of two rungs each.
+  for (int round = 0; round < 5; ++round) {
+    AskAndTellOneRound(client, "job", 4);
+    AskAndTellOneRound(reference, "job", 4);
+  }
+
+  Result<std::string> remote = client.Checkpoint("job");
+  Result<std::string> in_process = reference.Checkpoint("job");
+  ASSERT_TRUE(remote.ok());
+  ASSERT_TRUE(in_process.ok());
+  EXPECT_NE(OptionsLine(*remote), "");
+  EXPECT_EQ(OptionsLine(*remote), OptionsLine(*in_process));
+  EXPECT_EQ(Trajectory(*remote), Trajectory(*in_process));
+
+  Result<WireSessionStatus> got = client.GetStatus("job");
+  Result<service::SessionStatus> want = reference.GetStatus("job");
+  ASSERT_TRUE(got.ok());
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(got->status.name, want->name);
+  EXPECT_EQ(got->status.optimizer_key, want->optimizer_key);
+  EXPECT_EQ(got->status.adapter_key, want->adapter_key);
+  EXPECT_EQ(got->status.external, want->external);
+  EXPECT_EQ(got->status.iterations_run, want->iterations_run);
+  EXPECT_EQ(got->status.num_iterations, want->num_iterations);
+  EXPECT_EQ(got->status.pending_trials, want->pending_trials);
+  EXPECT_EQ(got->status.finished, want->finished);
+  EXPECT_EQ(got->status.default_performance, want->default_performance);
+  EXPECT_EQ(got->status.best_performance, want->best_performance);
+  EXPECT_EQ(got->status.num_iterations, 5);
+  EXPECT_EQ(got->status.iterations_run, 2);  // two whole races
   server.Stop();
 }
 

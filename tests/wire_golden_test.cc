@@ -85,12 +85,13 @@ WireSessionSpec SpaceSpec() {
   spec.batch_size = 4;
   spec.num_threads = 2;
   spec.pending_deadline_ms = 1500;
-  spec.racing = true;
-  spec.racing_cohort = 6;
-  spec.racing_rungs = 2;
-  spec.racing_min_fidelity = 0.5;
-  spec.racing_eta = 3.0;
-  spec.racing_ci_z = 1.0;
+  RacingOptions racing;
+  racing.cohort = 6;
+  racing.rungs = 2;
+  racing.min_fidelity = 0.5;
+  racing.eta = 3.0;
+  racing.ci_z = 1.0;
+  spec.racing = racing;
   return spec;
 }
 
