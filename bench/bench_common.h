@@ -1,16 +1,20 @@
 #pragma once
 
-// Shared plumbing for the paper-reproduction bench binaries: standard
-// session settings (paper §6.1: 100 iterations, first 10 LHS, 5 seeds),
-// a baseline-vs-LlamaTune pair runner, and the fixed-seed batch-quality
-// simulator grid.
+// Shared plumbing for the bench binaries: standard session settings
+// (paper §6.1: 100 iterations, first 10 LHS, 5 seeds), a
+// baseline-vs-LlamaTune pair runner, the fixed-seed batch-quality and
+// racing simulator grids, and the synthetic GP workload that bm_hotpath
+// and bm_largen time.
 
+#include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/adapter_registry.h"
 #include "src/core/tuning_session.h"
 #include "src/dbsim/simulated_postgres.h"
@@ -18,6 +22,7 @@
 #include "src/harness/experiment.h"
 #include "src/harness/report.h"
 #include "src/optimizer/optimizer_registry.h"
+#include "src/optimizer/search_space.h"
 
 namespace llamatune {
 namespace bench {
@@ -167,6 +172,45 @@ inline RacingCell RunRacingGridCell(uint64_t seed, int iterations,
   cell.true_best =
       objective.RunNoiseless(cell.session.best_config).throughput;
   return cell;
+}
+
+/// @}
+
+/// Monotonic wall-clock seconds, for timing a bench section.
+inline double NowSeconds() {
+  using Clock = std::chrono::steady_clock;
+  return std::chrono::duration<double>(Clock::now().time_since_epoch())
+      .count();
+}
+
+/// \name The synthetic GP workload (bm_hotpath, bm_largen)
+/// @{
+
+/// 16 continuous + 4 categorical dims.
+inline SearchSpace SyntheticSpace() {
+  std::vector<SearchDim> dims;
+  for (int i = 0; i < 16; ++i) dims.push_back(SearchDim::Continuous(0.0, 1.0));
+  for (int i = 0; i < 4; ++i) dims.push_back(SearchDim::Categorical(4));
+  return SearchSpace(dims);
+}
+
+inline std::vector<double> DrawPoint(const SearchSpace& space, Rng* rng) {
+  std::vector<double> x(space.num_dims());
+  for (int i = 0; i < space.num_dims(); ++i) {
+    const SearchDim& dim = space.dim(i);
+    x[i] = dim.type == SearchDim::Type::kCategorical
+               ? static_cast<double>(rng->UniformInt(0, dim.num_categories - 1))
+               : rng->Uniform(dim.lo, dim.hi);
+  }
+  return x;
+}
+
+inline double SyntheticObjective(const std::vector<double>& x) {
+  double acc = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    acc += std::sin(3.0 * x[i] + static_cast<double>(i));
+  }
+  return acc;
 }
 
 /// @}

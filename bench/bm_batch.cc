@@ -8,24 +8,27 @@
 //
 // Best-so-far curves are averaged over the seed grid, then each
 // batch-aware arm is scored against its family's sequential fallback
-// at the same batch size. Emits machine-readable BENCH_batch.json:
-//   series[] — one entry per (batch-aware key, batch size):
-//     mean_evals_to_fallback_best   evaluations the batch-aware mode's
-//                                   mean curve needed to reach the
+// at the same batch size. Emits BENCH_batch.json in the layout of
+// bench/bench_json.h, one row per (batch-aware key, batch size); a
+// row's metric names embed "<key>,q=<batch size>,iters=..,seeds=..":
+//   mean_evals_to_fallback_best     evaluations the batch-aware mode's
+//     (metric, deterministic)       mean curve needed to reach the
 //                                   fallback mean curve's final best
+//   mean_optimizer_seconds          suggest+observe wall-clock per
+//     (metric, wall-clock)          session (batch suggestion must stay
+//                                   within a small constant factor of
+//                                   single-point cost)
+//   info, keyed "<name>[<key>,q=<batch size>]":
 //     mean_fallback_evals_to_best   evaluations the fallback spent
 //                                   getting there itself
 //     sample_efficiency             ratio of the two (higher = better;
 //                                   mean_evals capped at budget + 1
 //                                   when the target is never reached)
-//     mean_best_objective           mean final best (internal objective)
-//     mean_optimizer_seconds        suggest+observe wall-clock per
-//                                   session, vs the fallback's (batch
-//                                   suggestion must stay within a
-//                                   small constant factor of
-//                                   single-point cost)
-//     identical_at_q1               q==1 batches must degrade to the
-//                                   plain suggestion bit-for-bit
+//     mean_best_objective, mean_fallback_best_objective
+//                                   mean final best (internal objective)
+//     mean_fallback_optimizer_seconds
+//     identical_at_q1               1 when the q==1 batches degraded to
+//                                   the plain suggestion bit-for-bit
 //
 // The quality metrics (evals-to-target, best objective) are
 // deterministic for fixed seeds at any thread count; only the
@@ -47,6 +50,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/bench_json.h"
 #include "src/optimizer/optimizer_registry.h"
 #include "src/optimizer/smac.h"
 
@@ -90,7 +94,6 @@ CellResult RunCell(const BenchConfig& config,
 
 struct SeriesEntry {
   std::string optimizer;
-  std::string fallback;
   int batch_size = 0;
   double mean_evals_to_fallback_best = 0.0;
   double mean_fallback_evals_to_best = 0.0;
@@ -102,12 +105,10 @@ struct SeriesEntry {
   bool identical_at_q1 = false;
 };
 
-SeriesEntry MakeEntry(const std::string& aware_key,
-                      const std::string& fallback_key, int batch_size,
+SeriesEntry MakeEntry(const std::string& aware_key, int batch_size,
                       const CellResult& aware, const CellResult& fallback) {
   SeriesEntry entry;
   entry.optimizer = aware_key;
-  entry.fallback = fallback_key;
   entry.batch_size = batch_size;
   double target = fallback.mean_curve.back();
   entry.mean_fallback_evals_to_best =
@@ -174,49 +175,45 @@ int main(int argc, char** argv) {
       for (const char* aware_key : family.aware) {
         std::printf("[batch] %s, q=%d...\n", aware_key, q);
         CellResult aware = RunCell(config, aware_key, q);
-        series.push_back(
-            MakeEntry(aware_key, family.fallback, q, aware, fallback));
+        series.push_back(MakeEntry(aware_key, q, aware, fallback));
       }
     }
   }
 
-  FILE* json = std::fopen("BENCH_batch.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_batch.json\n");
-    return 1;
+  bench::BenchJson json("batch");
+  json.Config("iterations", config.iterations);
+  json.Config("seeds", config.seeds);
+  json.Config("base_seed", static_cast<double>(config.base_seed));
+  json.Config("workload", "tpcc");
+  json.Config("adapter", "hesbo8");
+  json.Config("noise_sigma", 0.0);
+  for (const Family& family : families) {
+    for (const char* aware_key : family.aware) {
+      json.Config(std::string("fallback.") + aware_key, family.fallback);
+    }
   }
-  std::fprintf(json, "{\n  \"bench\": \"batch\",\n");
-  std::fprintf(json,
-               "  \"config\": {\"iterations\": %d, \"seeds\": %d, "
-               "\"base_seed\": %llu, \"workload\": \"tpcc\", "
-               "\"adapter\": \"hesbo8\", \"noise_sigma\": 0.0},\n",
-               config.iterations, config.seeds,
-               static_cast<unsigned long long>(config.base_seed));
-  std::fprintf(json, "  \"series\": [\n");
-  for (size_t i = 0; i < series.size(); ++i) {
-    const SeriesEntry& e = series[i];
-    std::fprintf(
-        json,
-        "    {\"optimizer\": \"%s\", \"fallback\": \"%s\", "
-        "\"batch_size\": %d, \"mean_evals_to_fallback_best\": %.2f, "
-        "\"mean_fallback_evals_to_best\": %.2f, "
-        "\"sample_efficiency\": %.3f, \"mean_best_objective\": %.6f, "
-        "\"mean_fallback_best_objective\": %.6f, "
-        "\"mean_optimizer_seconds\": %.4f, "
-        "\"mean_fallback_optimizer_seconds\": %.4f%s}%s\n",
-        e.optimizer.c_str(), e.fallback.c_str(), e.batch_size,
-        e.mean_evals_to_fallback_best, e.mean_fallback_evals_to_best,
-        e.sample_efficiency, e.mean_best_objective,
-        e.mean_fallback_best_objective, e.mean_optimizer_seconds,
-        e.mean_fallback_optimizer_seconds,
-        e.batch_size == 1
-            ? (e.identical_at_q1 ? ", \"identical_at_q1\": true"
-                                 : ", \"identical_at_q1\": false")
-            : "",
-        i + 1 < series.size() ? "," : "");
+  for (const SeriesEntry& e : series) {
+    std::string row =
+        bench::Format("%s,q=%d", e.optimizer.c_str(), e.batch_size);
+    std::string key = bench::Format("%s,iters=%d,seeds=%d", row.c_str(),
+                                    config.iterations, config.seeds);
+    json.Metric("mean_evals_to_fallback_best[" + key + "]",
+                e.mean_evals_to_fallback_best, true);
+    json.Metric("mean_optimizer_seconds[" + key + "]",
+                e.mean_optimizer_seconds, false);
+    json.Info("mean_fallback_evals_to_best[" + row + "]",
+              e.mean_fallback_evals_to_best);
+    json.Info("sample_efficiency[" + row + "]", e.sample_efficiency);
+    json.Info("mean_best_objective[" + row + "]", e.mean_best_objective);
+    json.Info("mean_fallback_best_objective[" + row + "]",
+              e.mean_fallback_best_objective);
+    json.Info("mean_fallback_optimizer_seconds[" + row + "]",
+              e.mean_fallback_optimizer_seconds);
+    if (e.batch_size == 1) {
+      json.Info("identical_at_q1[" + row + "]", e.identical_at_q1);
+    }
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
+  if (!json.Write()) return 1;
 
   for (const SeriesEntry& e : series) {
     std::printf(

@@ -20,11 +20,12 @@
 // means and evals-to-target are bit-for-bit deterministic for fixed
 // seeds, so CI treats any drift there as a real behavior change.
 //
-// Emits machine-readable BENCH_largen.json:
-//   scaling[] — per-n exact/sparse fit+suggest seconds and speedup
-//   quality   — mean final best per arm, relative gap, evals-to-target
-//   peak_rss_mb — process ru_maxrss after both parts (informational;
-//                 not compared against the baseline)
+// Emits BENCH_largen.json in the layout of bench/bench_json.h:
+//   metrics  exact_/sparse_per_iter_seconds[n=N] (wall-clock) and
+//            sparse_evals_to_98pct[iters=I,seeds=S] (deterministic)
+//   info     per-n speedup, the quality grid's mean final bests,
+//            relative gap and evals-to-target, and peak_rss_mb
+//            (process ru_maxrss after both parts)
 //
 // Usage: bm_largen [--max-n=N] [--grid-iterations=I] [--grid-seeds=S]
 //        CI smoke passes --max-n=500 --grid-iterations=64
@@ -32,7 +33,6 @@
 //        quality metric names embed (iterations, seeds), so mismatched
 //        settings silently compare nothing).
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -43,6 +43,7 @@
 #include <sys/resource.h>
 
 #include "bench/bench_common.h"
+#include "bench/bench_json.h"
 #include "src/common/math_util.h"
 #include "src/common/rng.h"
 #include "src/model/acquisition.h"
@@ -55,44 +56,15 @@
 namespace llamatune {
 namespace {
 
-double NowSeconds() {
-  using Clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(Clock::now().time_since_epoch())
-      .count();
-}
-
-// The bm_hotpath synthetic space: 16 continuous + 4 categorical dims.
-SearchSpace BenchSpace() {
-  std::vector<SearchDim> dims;
-  for (int i = 0; i < 16; ++i) dims.push_back(SearchDim::Continuous(0.0, 1.0));
-  for (int i = 0; i < 4; ++i) dims.push_back(SearchDim::Categorical(4));
-  return SearchSpace(dims);
-}
-
-std::vector<double> DrawPoint(const SearchSpace& space, Rng* rng) {
-  std::vector<double> x(space.num_dims());
-  for (int i = 0; i < space.num_dims(); ++i) {
-    const SearchDim& dim = space.dim(i);
-    x[i] = dim.type == SearchDim::Type::kCategorical
-               ? static_cast<double>(rng->UniformInt(0, dim.num_categories - 1))
-               : rng->Uniform(dim.lo, dim.hi);
-  }
-  return x;
-}
+using bench::DrawPoint;
+using bench::NowSeconds;
+using bench::SyntheticObjective;
 
 /// Peak resident set size of this process so far, in MB.
 double PeakRssMb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
-}
-
-double SyntheticObjective(const std::vector<double>& x) {
-  double acc = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    acc += std::sin(3.0 * x[i] + static_cast<double>(i));
-  }
-  return acc;
 }
 
 constexpr int kCandidates = 550;
@@ -246,7 +218,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  SearchSpace space = BenchSpace();
+  SearchSpace space = bench::SyntheticSpace();
   std::vector<ScalingEntry> scaling;
   for (int n : {200, 500, 1000, 2000}) {
     if (n > max_n) continue;
@@ -272,46 +244,38 @@ int main(int argc, char** argv) {
   double peak_rss_mb = PeakRssMb();
   std::printf("[largen] peak RSS %.1f MB\n", peak_rss_mb);
 
-  FILE* json = std::fopen("BENCH_largen.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_largen.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"largen\",\n");
+  bench::BenchJson json("largen");
   // Provenance for both arms: the scaling rows use num_inducing; the
   // quality grid uses (quality_sparse_threshold, quality_num_inducing)
   // — recorded so a baseline drift can be traced to the right arm.
-  std::fprintf(json,
-               "  \"config\": {\"candidates\": %d, \"window\": %d, "
-               "\"num_inducing\": %d, \"grid_iterations\": %d, "
-               "\"grid_seeds\": %d, \"quality_sparse_threshold\": %d, "
-               "\"quality_num_inducing\": %d, \"workload\": \"tpcc\", "
-               "\"adapter\": \"hesbo8\", \"noise_sigma\": 0.0},\n",
-               kCandidates, kWindow, kScalingNumInducing, grid_iterations,
-               grid_seeds, kQualitySparseThreshold, kQualityNumInducing);
-  std::fprintf(json, "  \"scaling\": [\n");
-  for (size_t i = 0; i < scaling.size(); ++i) {
-    const ScalingEntry& e = scaling[i];
-    std::fprintf(json,
-                 "    {\"n\": %d, \"exact_per_iter_seconds\": %.6e, "
-                 "\"sparse_per_iter_seconds\": %.6e, \"speedup\": %.2f}%s\n",
-                 e.n, e.exact_per_iter_seconds, e.sparse_per_iter_seconds,
-                 e.speedup, i + 1 < scaling.size() ? "," : "");
+  json.Config("candidates", kCandidates);
+  json.Config("window", kWindow);
+  json.Config("num_inducing", kScalingNumInducing);
+  json.Config("grid_iterations", grid_iterations);
+  json.Config("grid_seeds", grid_seeds);
+  json.Config("quality_sparse_threshold", kQualitySparseThreshold);
+  json.Config("quality_num_inducing", kQualityNumInducing);
+  json.Config("workload", "tpcc");
+  json.Config("adapter", "hesbo8");
+  json.Config("noise_sigma", 0.0);
+  for (const ScalingEntry& e : scaling) {
+    json.Metric(bench::Format("exact_per_iter_seconds[n=%d]", e.n),
+                e.exact_per_iter_seconds, false);
+    json.Metric(bench::Format("sparse_per_iter_seconds[n=%d]", e.n),
+                e.sparse_per_iter_seconds, false);
+    json.Info(bench::Format("speedup[n=%d]", e.n), e.speedup);
   }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"peak_rss_mb\": %.1f,\n", peak_rss_mb);
-  std::fprintf(json,
-               "  \"quality\": {\"exact_mean_best\": %.6f, "
-               "\"sparse_mean_best\": %.6f, \"relative_gap\": %.4f, "
-               "\"exact_evals_to_best\": %d, "
-               "\"sparse_evals_to_exact_best\": %d, "
-               "\"sparse_evals_to_98pct\": %d}\n",
-               quality.exact_mean_best, quality.sparse_mean_best,
-               quality.relative_gap, quality.exact_evals_to_best,
-               quality.sparse_evals_to_exact_best,
-               quality.sparse_evals_to_98pct);
-  std::fprintf(json, "}\n");
-  std::fclose(json);
+  json.Metric(bench::Format("sparse_evals_to_98pct[iters=%d,seeds=%d]",
+                            grid_iterations, grid_seeds),
+              quality.sparse_evals_to_98pct, true);
+  json.Info("peak_rss_mb", peak_rss_mb);
+  json.Info("quality.exact_mean_best", quality.exact_mean_best);
+  json.Info("quality.sparse_mean_best", quality.sparse_mean_best);
+  json.Info("quality.relative_gap", quality.relative_gap);
+  json.Info("quality.exact_evals_to_best", quality.exact_evals_to_best);
+  json.Info("quality.sparse_evals_to_exact_best",
+            quality.sparse_evals_to_exact_best);
+  if (!json.Write()) return 1;
   std::printf("[largen] wrote BENCH_largen.json\n");
   return 0;
 }

@@ -22,10 +22,12 @@
 //   quality: racing within 2% of the fixed-budget best-found
 //
 // Every cell is bit-for-bit deterministic for a fixed seed at any
-// thread count, so all emitted metrics use the deterministic
-// regression threshold.
+// thread count, so both metrics, work_ratio and fixed_over_racing_best
+// (names embed the grid settings), use the deterministic regression
+// threshold.
 //
-// Emits machine-readable BENCH_racing.json in the working directory.
+// Emits BENCH_racing.json in the layout of bench/bench_json.h; info
+// holds the per-seed rows.
 //
 // Usage: bm_racing [--seeds=N] [--fixed-iters=N] [--races=N]
 //   (defaults 5 / 40 / 3; CI smoke and the committed baseline must use
@@ -37,6 +39,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "bench/bench_json.h"
 
 namespace llamatune {
 namespace {
@@ -111,43 +114,34 @@ int Main(int argc, char** argv) {
       "%.4f (target <= 1.02)\n",
       work_ratio, quality_ratio);
 
-  FILE* json = std::fopen("BENCH_racing.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_racing.json\n");
-    return 1;
+  const RacingOptions grid = bench::RacingGridOptions();
+  bench::BenchJson json("racing");
+  json.Config("seeds", args.seeds);
+  json.Config("fixed_iters", args.fixed_iters);
+  json.Config("races", args.races);
+  json.Config("cohort", grid.cohort);
+  json.Config("rungs", grid.rungs);
+  json.Config("min_fidelity", grid.min_fidelity);
+  json.Config("eta", grid.eta);
+  json.Config("ci_z", grid.ci_z);
+  json.Config("transactions", bench::kRacingGridTransactions);
+  std::string key = bench::Format(
+      "seeds=%d,fixed=%d,races=%d,cohort=%d,rungs=%d,minfid=%g", args.seeds,
+      args.fixed_iters, args.races, grid.cohort, grid.rungs,
+      grid.min_fidelity);
+  json.Metric("work_ratio[" + key + "]", work_ratio, true);
+  json.Metric("fixed_over_racing_best[" + key + "]", quality_ratio, true);
+  for (const SeedRow& row : rows) {
+    std::string seed = bench::Format(
+        "[seed=%llu]", static_cast<unsigned long long>(row.seed));
+    json.Info("fixed_work" + seed, row.fixed_work);
+    json.Info("racing_work" + seed, row.racing_work);
+    json.Info("fixed_true_best" + seed, row.fixed_true);
+    json.Info("racing_true_best" + seed, row.racing_true);
+    json.Info("fixed_measured_best" + seed, row.fixed_measured);
+    json.Info("racing_measured_best" + seed, row.racing_measured);
   }
-  std::fprintf(json, "{\n  \"bench\": \"racing\",\n");
-  std::fprintf(json,
-               "  \"config\": {\"seeds\": %d, \"fixed_iters\": %d, "
-               "\"races\": %d, \"cohort\": %d, \"rungs\": %d, "
-               "\"min_fidelity\": %g, \"eta\": %g, \"ci_z\": %g, "
-               "\"transactions\": %d},\n",
-               args.seeds, args.fixed_iters, args.races,
-               bench::RacingGridOptions().cohort,
-               bench::RacingGridOptions().rungs,
-               bench::RacingGridOptions().min_fidelity,
-               bench::RacingGridOptions().eta,
-               bench::RacingGridOptions().ci_z,
-               bench::kRacingGridTransactions);
-  std::fprintf(json, "  \"seeds\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const SeedRow& row = rows[i];
-    std::fprintf(json,
-                 "    {\"seed\": %llu, \"fixed_work\": %.17g, "
-                 "\"racing_work\": %.17g, \"fixed_true_best\": %.17g, "
-                 "\"racing_true_best\": %.17g, \"fixed_measured_best\": "
-                 "%.17g, \"racing_measured_best\": %.17g}%s\n",
-                 static_cast<unsigned long long>(row.seed), row.fixed_work,
-                 row.racing_work, row.fixed_true, row.racing_true,
-                 row.fixed_measured, row.racing_measured,
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(json, "  ],\n");
-  std::fprintf(json, "  \"summary\": {\"work_ratio\": %.17g, "
-               "\"fixed_over_racing_best\": %.17g}\n", work_ratio,
-               quality_ratio);
-  std::fprintf(json, "}\n");
-  std::fclose(json);
+  if (!json.Write()) return 1;
   std::printf("wrote BENCH_racing.json\n");
   return 0;
 }

@@ -15,15 +15,13 @@
 // unloaded number because queue depth is bounded, and the shed/hint
 // counters prove the cooperation happened.
 //
-// Emits machine-readable BENCH_service.json in the working directory:
-//   sessions_per_sec     — completed session lifecycles per second
-//                          (headline, higher is better)
-//   per_session_seconds  — mean wall-clock per session lifecycle
-//                          (lower is better; what the regression
-//                          check compares)
-//   ask_seconds p50/p99  — per-Ask round-trip latency over the wire
-//   overload {...}       — shed counters, hinted retries, admitted-ask
-//                          percentiles and their ratio to unloaded p99
+// Emits BENCH_service.json in the layout of bench/bench_json.h. Its
+// lower-is-better wall-clock metrics, named with the run settings:
+// per_session_seconds (mean per session lifecycle), ask_seconds
+// p50/p99 (Ask round trips) and, under overload, the admitted-ask
+// p50/p99 and their ratio to the unloaded p99. Info holds
+// sessions_per_sec (the headline), counts, and the shed and
+// retry-hint counters, whose magnitude tracks scheduling luck.
 //
 // Usage: bm_service [--sessions=N] [--iterations=N] [--clients=N]
 //        (defaults: 200 sessions, 6 ask/tell rounds each, 4 clients;
@@ -31,7 +29,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -39,6 +36,8 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_common.h"
+#include "bench/bench_json.h"
 #include "src/knobs/knob.h"
 #include "src/net/tuning_client.h"
 #include "src/net/tuning_server.h"
@@ -46,11 +45,7 @@
 namespace llamatune {
 namespace {
 
-double NowSeconds() {
-  using Clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(Clock::now().time_since_epoch())
-      .count();
-}
+using bench::NowSeconds;
 
 double Measure(const Configuration& config) {
   double x = config[0] / 100.0;
@@ -350,41 +345,37 @@ int main(int argc, char** argv) {
   double ov_ask_p99 = Percentile(admitted_ask, 0.99);
   double p99_ratio = ask_p99 > 0.0 ? ov_ask_p99 / ask_p99 : 0.0;
 
-  FILE* json = std::fopen("BENCH_service.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_service.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"service\",\n");
-  std::fprintf(json,
-               "  \"config\": {\"sessions\": %d, \"iterations\": %d, "
-               "\"clients\": %d},\n",
-               sessions, iterations, clients);
-  std::fprintf(json, "  \"sessions_completed\": %d,\n", completed);
-  std::fprintf(json, "  \"errors\": %d,\n", errors);
-  std::fprintf(json, "  \"wall_seconds\": %.4f,\n", wall);
-  std::fprintf(json, "  \"sessions_per_sec\": %.2f,\n", sessions_per_sec);
-  std::fprintf(json, "  \"per_session_seconds\": %.6e,\n", per_session);
-  std::fprintf(json,
-               "  \"ask_seconds\": {\"count\": %zu, \"p50\": %.6e, "
-               "\"p99\": %.6e},\n",
-               ask_seconds.size(), ask_p50, ask_p99);
-  std::fprintf(json,
-               "  \"overload\": {\"clients\": %d, \"sessions_completed\": "
-               "%d, \"errors\": %d, \"wall_seconds\": %.4f,\n",
-               ov_clients, ov_completed, ov_errors, ov_wall);
-  std::fprintf(json,
-               "    \"shed_overload\": %lld, \"shed_deadline\": %lld, "
-               "\"retry_hints_seen\": %lld,\n",
-               shed_overload, shed_deadline, hinted_retries);
-  std::fprintf(json,
-               "    \"admitted_ask_seconds\": {\"count\": %zu, "
-               "\"p50\": %.6e, \"p99\": %.6e},\n",
-               admitted_ask.size(), ov_ask_p50, ov_ask_p99);
-  std::fprintf(json, "    \"admitted_p99_over_unloaded_p99\": %.3f}\n",
-               p99_ratio);
-  std::fprintf(json, "}\n");
-  std::fclose(json);
+  bench::BenchJson json("service");
+  json.Config("sessions", sessions);
+  json.Config("iterations", iterations);
+  json.Config("clients", clients);
+  json.Config("overload.clients", ov_clients);
+  std::string key = bench::Format("sessions=%d,iters=%d,clients=%d",
+                                  sessions, iterations, clients);
+  std::string ov_key = bench::Format("%s,ov_clients=%d", key.c_str(),
+                                     ov_clients);
+  json.Metric("per_session_seconds[" + key + "]", per_session, false);
+  json.Metric("ask_seconds.p50[" + key + "]", ask_p50, false);
+  json.Metric("ask_seconds.p99[" + key + "]", ask_p99, false);
+  json.Metric("overload.admitted_ask_seconds.p50[" + ov_key + "]",
+              ov_ask_p50, false);
+  json.Metric("overload.admitted_ask_seconds.p99[" + ov_key + "]",
+              ov_ask_p99, false);
+  json.Metric("overload.admitted_p99_over_unloaded_p99[" + ov_key + "]",
+              p99_ratio, false);
+  json.Info("sessions_completed", completed);
+  json.Info("errors", errors);
+  json.Info("wall_seconds", wall);
+  json.Info("sessions_per_sec", sessions_per_sec);
+  json.Info("ask_seconds.count", ask_seconds.size());
+  json.Info("overload.sessions_completed", ov_completed);
+  json.Info("overload.errors", ov_errors);
+  json.Info("overload.wall_seconds", ov_wall);
+  json.Info("overload.shed_overload", shed_overload);
+  json.Info("overload.shed_deadline", shed_deadline);
+  json.Info("overload.retry_hints_seen", hinted_retries);
+  json.Info("overload.admitted_ask_seconds.count", admitted_ask.size());
+  if (!json.Write()) return 1;
 
   std::printf("[service] %d/%d sessions ok (%d errors) in %.2f s — "
               "%.1f sessions/s, per-session %.3f ms, "

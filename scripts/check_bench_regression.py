@@ -4,30 +4,23 @@
 Usage:
     check_bench_regression.py <current.json> <baseline.json> [--threshold 0.20]
 
-Handles the three bench formats, keyed by their "bench" field:
+Every regression-tracked bench (bm_hotpath, bm_batch, bm_largen,
+bm_service, bm_racing) writes one layout (bench/bench_json.h): a
+``bench`` name, ``config``, ``hardware.cores``, a ``metrics`` list and
+an ``info`` object. Only ``metrics`` is compared; ``info`` is for
+humans. Each metric has a ``name``, a ``value`` and a ``deterministic``
+flag, and every metric is lower-is-better:
 
-* ``hotpath`` (BENCH_hotpath.json) — wall-clock metrics only.
-* ``batch`` (BENCH_batch.json) — per-(optimizer, batch size) series:
-  sample-efficiency metrics (``mean_evals_to_fallback_best``, lower is
-  better — deterministic for fixed seeds, so any drift is a real
-  behavior change) and optimizer wall-clock (noisy). Metric names embed
-  the run configuration, so a baseline generated with different
-  iterations/seeds simply fails to intersect instead of comparing
-  incomparable numbers.
-* ``largen`` (BENCH_largen.json) — per-n exact/sparse suggest-loop
-  wall-clock (noisy) plus the deterministic sparse-quality metric
-  ``sparse_evals_to_98pct`` (evals for the sparse arm's mean curve to
-  reach 98% of the exact arm's final best on the fixed-seed grid;
-  names embed the grid configuration like ``batch``). A baseline from
-  a full run (n up to 2000) still intersects a smoke run capped at a
-  smaller --max-n: missing n entries are skipped, not flagged.
-* ``service`` (BENCH_service.json) — wire front-end load driver:
-  per-session lifecycle wall-clock and ask round-trip latency over
-  real sockets. All compared metrics are lower-is-better seconds
-  (noisy); the headline ``sessions_per_sec`` is higher-is-better and
-  deliberately not compared. Metric names embed the run configuration
-  so mismatched settings fail to intersect instead of comparing
-  incomparable numbers.
+* deterministic metrics (evals-to-target, racing work ratios) are
+  bit-for-bit reproducible for fixed seeds, so any drift beyond 0.1% is
+  a real behavior change, not clock noise;
+* wall-clock metrics are flagged beyond ``--threshold``.
+
+Names embed the run configuration (e.g.
+``sparse_evals_to_98pct[iters=64,seeds=5]``), so a baseline generated
+with other settings fails to intersect instead of comparing
+incomparable numbers. A name missing on either side, or whose baseline
+is <= 0, is skipped, not flagged.
 
 Surfaces regressions beyond the threshold in the GitHub Actions job
 summary ($GITHUB_STEP_SUMMARY) and as ::warning:: annotations. Always
@@ -41,157 +34,21 @@ import json
 import os
 import sys
 
+# Threshold applied to metrics that are deterministic for fixed seeds:
+# any drift beyond float formatting is a real behavior change, so it is
+# flagged immediately instead of hiding under the wall-clock threshold.
+DETERMINISTIC_THRESHOLD = 0.001
+
 
 def load(path):
     with open(path) as f:
         return json.load(f)
 
 
-def collect_hotpath_metrics(doc):
-    """Flattens the wall-clock fields of BENCH_hotpath.json into
-    {metric_name: seconds}."""
-    metrics = {}
-    for entry in doc.get("fit_predict", []):
-        n = entry.get("n")
-        for field in ("fast_per_iter_seconds", "fast_pooled_per_iter_seconds"):
-            if field in entry:
-                metrics[f"{field}[n={n}]"] = entry[field]
-    scaling = doc.get("update_scaling", {})
-    for field in ("incremental_update_seconds_lo",
-                  "incremental_update_seconds_hi"):
-        if field in scaling:
-            metrics[f"update_scaling.{field}"] = scaling[field]
-    batch = doc.get("batch", {})
-    for field in ("batch1_seconds", "batch8_seconds"):
-        if field in batch:
-            metrics[f"batch.{field}"] = batch[field]
-    return metrics
-
-
-# Threshold applied to metrics that are deterministic for fixed seeds
-# (evals-to-target): any drift beyond float formatting is a real
-# behavior change, not clock noise, so it is flagged immediately
-# instead of hiding under the wall-clock threshold.
-DETERMINISTIC_THRESHOLD = 0.001
-
-
-def collect_batch_metrics(doc):
-    """Flattens BENCH_batch.json series into
-    {metric_name: (value, deterministic)}.
-
-    All collected metrics are lower-is-better, matching the shared
-    ratio check: evals-to-target counts evaluations (deterministic for
-    fixed seeds), *_seconds counts wall-clock (noisy)."""
-    config = doc.get("config", {})
-    suffix = (f"iters={config.get('iterations')},"
-              f"seeds={config.get('seeds')}")
-    metrics = {}
-    for entry in doc.get("series", []):
-        key = (f"{entry.get('optimizer')},q={entry.get('batch_size')},"
-               f"{suffix}")
-        if "mean_evals_to_fallback_best" in entry:
-            metrics[f"mean_evals_to_fallback_best[{key}]"] = (
-                entry["mean_evals_to_fallback_best"], True)
-        if "mean_optimizer_seconds" in entry:
-            metrics[f"mean_optimizer_seconds[{key}]"] = (
-                entry["mean_optimizer_seconds"], False)
-    return metrics
-
-
-def collect_largen_metrics(doc):
-    """Flattens BENCH_largen.json into {metric_name: (value,
-    deterministic)}.
-
-    Per-n suggest-loop seconds are wall-clock (noisy); the sparse
-    quality metric (evals for the sparse arm to reach 98% of the exact
-    arm's best on the fixed-seed grid) is deterministic. All collected
-    metrics are lower-is-better."""
-    config = doc.get("config", {})
-    metrics = {}
-    for entry in doc.get("scaling", []):
-        n = entry.get("n")
-        for field in ("exact_per_iter_seconds", "sparse_per_iter_seconds"):
-            if field in entry:
-                metrics[f"{field}[n={n}]"] = (entry[field], False)
-    quality = doc.get("quality", {})
-    if "sparse_evals_to_98pct" in quality:
-        key = (f"iters={config.get('grid_iterations')},"
-               f"seeds={config.get('grid_seeds')}")
-        metrics[f"sparse_evals_to_98pct[{key}]"] = (
-            quality["sparse_evals_to_98pct"], True)
-    return metrics
-
-
-def collect_service_metrics(doc):
-    """Flattens BENCH_service.json into {metric_name: (value,
-    deterministic)}.
-
-    All collected metrics are lower-is-better wall-clock seconds
-    (noisy). ``sessions_per_sec`` is higher-is-better, so it is
-    reported in the JSON for humans but never compared here."""
-    config = doc.get("config", {})
-    key = (f"sessions={config.get('sessions')},"
-           f"iters={config.get('iterations')},"
-           f"clients={config.get('clients')}")
-    metrics = {}
-    if "per_session_seconds" in doc:
-        metrics[f"per_session_seconds[{key}]"] = (
-            doc["per_session_seconds"], False)
-    ask = doc.get("ask_seconds", {})
-    for field in ("p50", "p99"):
-        if field in ask:
-            metrics[f"ask_seconds.{field}[{key}]"] = (ask[field], False)
-    # Overload phase: admitted-ask latency under 4x saturation plus its
-    # ratio to the unloaded p99 — the load-shedding contract ("admitted
-    # work stays fast because the queue is bounded"). The shed/hint
-    # counters stay human-only: their magnitude tracks scheduling luck,
-    # not a lower-is-better cost.
-    overload = doc.get("overload", {})
-    ov_key = f"{key},ov_clients={overload.get('clients')}"
-    admitted = overload.get("admitted_ask_seconds", {})
-    for field in ("p50", "p99"):
-        if field in admitted:
-            metrics[f"overload.admitted_ask_seconds.{field}[{ov_key}]"] = (
-                admitted[field], False)
-    if "admitted_p99_over_unloaded_p99" in overload:
-        metrics[f"overload.admitted_p99_over_unloaded_p99[{ov_key}]"] = (
-            overload["admitted_p99_over_unloaded_p99"], False)
-    return metrics
-
-
-def collect_racing_metrics(doc):
-    """Flattens BENCH_racing.json into {metric_name: (value,
-    deterministic)}.
-
-    Both summary metrics are lower-is-better ratios and bit-for-bit
-    deterministic for fixed seeds (the DES grid is seeded), so any
-    drift is a real behavior change in the racing stage. Metric names
-    embed the run configuration so mismatched settings fail to
-    intersect instead of comparing incomparable numbers."""
-    config = doc.get("config", {})
-    key = (f"seeds={config.get('seeds')},fixed={config.get('fixed_iters')},"
-           f"races={config.get('races')},cohort={config.get('cohort')},"
-           f"rungs={config.get('rungs')},minfid={config.get('min_fidelity')}")
-    metrics = {}
-    summary = doc.get("summary", {})
-    for field in ("work_ratio", "fixed_over_racing_best"):
-        if field in summary:
-            metrics[f"{field}[{key}]"] = (summary[field], True)
-    return metrics
-
-
 def collect_metrics(doc):
     """Returns {metric_name: (value, deterministic)}."""
-    if doc.get("bench") == "batch":
-        return collect_batch_metrics(doc)
-    if doc.get("bench") == "racing":
-        return collect_racing_metrics(doc)
-    if doc.get("bench") == "largen":
-        return collect_largen_metrics(doc)
-    if doc.get("bench") == "service":
-        return collect_service_metrics(doc)
-    return {name: (value, False)
-            for name, value in collect_hotpath_metrics(doc).items()}
+    return {m["name"]: (m["value"], m["deterministic"])
+            for m in doc.get("metrics", [])}
 
 
 def main():
@@ -207,8 +64,8 @@ def main():
 
     current_doc = load(args.current)
     baseline_doc = load(args.baseline)
-    bench = current_doc.get("bench", "hotpath")
-    if baseline_doc.get("bench", "hotpath") != bench:
+    bench = current_doc.get("bench")
+    if baseline_doc.get("bench") != bench:
         print(f"::warning title=bench mismatch::current is '{bench}', "
               f"baseline is '{baseline_doc.get('bench')}' — nothing compared")
         return 0

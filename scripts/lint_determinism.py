@@ -21,7 +21,7 @@ Rules (see docs/static-analysis.md for the rationale table):
                   engines outside src/common/rng — all randomness must
                   flow from an explicitly seeded Rng.
   wall-clock      chrono clock reads and time() outside the allowlist
-                  (logging, service/server timers, the one
+                  (service/server timers, the one
                   optimizer-seconds token normalized out of
                   checkpoints) — time must never feed trajectories.
   unordered-container
@@ -103,7 +103,6 @@ RULES = [
             r"|(?<![\w:.])time\s*\(\s*(?:NULL|nullptr|0)?\s*\)"
         ),
         "allow": (
-            "src/common/logging.",
             # The optimizer-seconds token, normalized out of checkpoints
             # before comparison (see docs/checkpoint-format.md).
             "src/core/tuning_session.cc",

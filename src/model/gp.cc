@@ -14,57 +14,6 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// Legacy vector<vector> helpers. Kept as the reference implementation
-// for tests and for the pre-PR path replicated in bench/bm_hotpath.cc;
-// the GP itself runs on the flat-matrix routines in src/common/matrix.
-// ---------------------------------------------------------------------------
-
-Status CholeskyFactor(std::vector<std::vector<double>> a,
-                      std::vector<std::vector<double>>* l) {
-  int n = static_cast<int>(a.size());
-  for (int j = 0; j < n; ++j) {
-    double diag = a[j][j];
-    for (int k = 0; k < j; ++k) diag -= a[j][k] * a[j][k];
-    if (diag <= 0.0 || !std::isfinite(diag)) {
-      return Status::Internal("Cholesky: matrix not positive definite");
-    }
-    a[j][j] = std::sqrt(diag);
-    for (int i = j + 1; i < n; ++i) {
-      double acc = a[i][j];
-      for (int k = 0; k < j; ++k) acc -= a[i][k] * a[j][k];
-      a[i][j] = acc / a[j][j];
-    }
-    for (int i = 0; i < j; ++i) a[i][j] = 0.0;  // zero upper triangle
-  }
-  *l = std::move(a);
-  return Status::OK();
-}
-
-std::vector<double> ForwardSolve(const std::vector<std::vector<double>>& l,
-                                 const std::vector<double>& b) {
-  int n = static_cast<int>(l.size());
-  std::vector<double> z(n, 0.0);
-  for (int i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (int k = 0; k < i; ++k) acc -= l[i][k] * z[k];
-    z[i] = acc / l[i][i];
-  }
-  return z;
-}
-
-std::vector<double> BackwardSolve(const std::vector<std::vector<double>>& l,
-                                  const std::vector<double>& b) {
-  int n = static_cast<int>(l.size());
-  std::vector<double> z(n, 0.0);
-  for (int i = n - 1; i >= 0; --i) {
-    double acc = b[i];
-    for (int k = i + 1; k < n; ++k) acc -= l[k][i] * z[k];
-    z[i] = acc / l[i][i];
-  }
-  return z;
-}
-
 std::vector<KernelParams> DrawKernelRestarts(const GpOptions& options,
                                              uint64_t seed, int fit_count) {
   Rng rng(HashCombine(seed, static_cast<uint64_t>(fit_count)));

@@ -213,22 +213,4 @@ class GaussianProcess {
 std::vector<KernelParams> DrawKernelRestarts(const GpOptions& options,
                                              uint64_t seed, int fit_count);
 
-/// \name Dense linear algebra helpers (exposed for tests and the
-/// legacy-path reference in bench/bm_hotpath.cc)
-/// @{
-
-/// Cholesky factorization: returns lower-triangular L with A = L L^T,
-/// or an error if A is not positive definite.
-Status CholeskyFactor(std::vector<std::vector<double>> a,
-                      std::vector<std::vector<double>>* l);
-
-/// Solves L z = b (forward substitution).
-std::vector<double> ForwardSolve(const std::vector<std::vector<double>>& l,
-                                 const std::vector<double>& b);
-
-/// Solves L^T z = b (backward substitution).
-std::vector<double> BackwardSolve(const std::vector<std::vector<double>>& l,
-                                  const std::vector<double>& b);
-/// @}
-
 }  // namespace llamatune

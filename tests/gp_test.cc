@@ -13,39 +13,6 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-TEST(CholeskyTest, FactorsKnownMatrix) {
-  // A = [[4,2],[2,3]] => L = [[2,0],[1,sqrt(2)]]
-  std::vector<std::vector<double>> a = {{4.0, 2.0}, {2.0, 3.0}};
-  std::vector<std::vector<double>> l;
-  ASSERT_TRUE(CholeskyFactor(a, &l).ok());
-  EXPECT_NEAR(l[0][0], 2.0, 1e-12);
-  EXPECT_NEAR(l[1][0], 1.0, 1e-12);
-  EXPECT_NEAR(l[1][1], std::sqrt(2.0), 1e-12);
-  EXPECT_EQ(l[0][1], 0.0);
-}
-
-TEST(CholeskyTest, RejectsIndefinite) {
-  std::vector<std::vector<double>> a = {{1.0, 2.0}, {2.0, 1.0}};
-  std::vector<std::vector<double>> l;
-  EXPECT_FALSE(CholeskyFactor(a, &l).ok());
-}
-
-TEST(CholeskyTest, SolvesRoundTrip) {
-  std::vector<std::vector<double>> a = {
-      {6.0, 2.0, 1.0}, {2.0, 5.0, 2.0}, {1.0, 2.0, 4.0}};
-  std::vector<std::vector<double>> l;
-  ASSERT_TRUE(CholeskyFactor(a, &l).ok());
-  std::vector<double> b = {1.0, 2.0, 3.0};
-  std::vector<double> z = ForwardSolve(l, b);
-  std::vector<double> x = BackwardSolve(l, z);
-  // Check A x == b.
-  for (int i = 0; i < 3; ++i) {
-    double acc = 0.0;
-    for (int j = 0; j < 3; ++j) acc += a[i][j] * x[j];
-    EXPECT_NEAR(acc, b[i], 1e-10);
-  }
-}
-
 TEST(KernelTest, Matern52Properties) {
   EXPECT_DOUBLE_EQ(Matern52(0.0), 1.0);
   EXPECT_GT(Matern52(0.5), Matern52(1.0));
