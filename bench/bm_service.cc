@@ -38,6 +38,7 @@
 
 #include "bench/bench_common.h"
 #include "bench/bench_json.h"
+#include "src/common/math_util.h"
 #include "src/knobs/knob.h"
 #include "src/net/tuning_client.h"
 #include "src/net/tuning_server.h"
@@ -62,15 +63,6 @@ net::WireSessionSpec BenchSpec(int iterations, uint64_t seed) {
   spec.seed = seed;
   spec.num_iterations = iterations;
   return spec;
-}
-
-double Percentile(std::vector<double> sorted_ascending, double p) {
-  if (sorted_ascending.empty()) return 0.0;
-  double rank = p * static_cast<double>(sorted_ascending.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, sorted_ascending.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return sorted_ascending[lo] * (1.0 - frac) + sorted_ascending[hi] * frac;
 }
 
 struct ClientStats {
@@ -271,8 +263,8 @@ int main(int argc, char** argv) {
       completed > 0 ? session_sum / static_cast<double>(completed) : 0.0;
   double sessions_per_sec =
       wall > 0.0 ? static_cast<double>(completed) / wall : 0.0;
-  double ask_p50 = Percentile(ask_seconds, 0.50);
-  double ask_p99 = Percentile(ask_seconds, 0.99);
+  double ask_p50 = PercentileSorted(ask_seconds, 50.0);
+  double ask_p99 = PercentileSorted(ask_seconds, 99.0);
 
   // --- Overload phase: 4x the clients against a tiny admission
   // queue. Shedding keeps queue depth (and so admitted-ask latency)
@@ -341,8 +333,8 @@ int main(int argc, char** argv) {
                         s.ask_seconds.end());
   }
   std::sort(admitted_ask.begin(), admitted_ask.end());
-  double ov_ask_p50 = Percentile(admitted_ask, 0.50);
-  double ov_ask_p99 = Percentile(admitted_ask, 0.99);
+  double ov_ask_p50 = PercentileSorted(admitted_ask, 50.0);
+  double ov_ask_p99 = PercentileSorted(admitted_ask, 99.0);
   double p99_ratio = ask_p99 > 0.0 ? ov_ask_p99 / ask_p99 : 0.0;
 
   bench::BenchJson json("service");

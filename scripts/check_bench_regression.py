@@ -20,7 +20,9 @@ Names embed the run configuration (e.g.
 ``sparse_evals_to_98pct[iters=64,seeds=5]``), so a baseline generated
 with other settings fails to intersect instead of comparing
 incomparable numbers. A name missing on either side, or whose baseline
-is <= 0, is skipped, not flagged.
+is <= 0, is skipped, not flagged. When the two files record different
+``hardware.cores``, every row is still compared, but a warning and a
+job-summary note say that the wall-clock rows span different hardware.
 
 Surfaces regressions beyond the threshold in the GitHub Actions job
 summary ($GITHUB_STEP_SUMMARY) and as ::warning:: annotations. Always
@@ -49,6 +51,10 @@ def collect_metrics(doc):
     """Returns {metric_name: (value, deterministic)}."""
     return {m["name"]: (m["value"], m["deterministic"])
             for m in doc.get("metrics", [])}
+
+
+def cores(doc):
+    return doc.get("hardware", {}).get("cores")
 
 
 def main():
@@ -93,9 +99,19 @@ def main():
             flag = "improved"
         rows.append((name, base_value, cur_value, ratio, flag))
 
+    cores_note = None
+    if cores(current_doc) != cores(baseline_doc):
+        cores_note = (f"current ran on {cores(current_doc)} core(s), baseline "
+                      f"on {cores(baseline_doc)}: wall-clock rows compare "
+                      "different hardware")
+        print(f"::warning title=bm_{bench} core count mismatch::{cores_note}")
+
     lines = []
     lines.append(f"## bm_{bench} vs committed baseline")
     lines.append("")
+    if cores_note:
+        lines.append(f"Note: {cores_note}; deterministic rows are unaffected.")
+        lines.append("")
     if not rows:
         lines.append("No comparable metrics found (baseline generated with "
                      "different settings?).")

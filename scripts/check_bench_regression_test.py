@@ -21,24 +21,27 @@ class CheckBenchRegressionTest(unittest.TestCase):
     def tearDown(self):
         self.tmp.cleanup()
 
-    def write(self, name, metrics, bench):
+    def write(self, name, metrics, bench, cores=1):
         """A bench JSON in the bench/bench_json.h layout; `metrics` maps
         a name to (value, deterministic)."""
         path = os.path.join(self.tmp.name, name + ".json")
         with open(path, "w") as f:
-            json.dump({"bench": bench, "config": {}, "hardware": {"cores": 1},
+            json.dump({"bench": bench, "config": {},
+                       "hardware": {"cores": cores},
                        "metrics": [{"name": n, "value": v, "deterministic": d}
                                    for n, (v, d) in metrics.items()],
                        "info": {"ignored": -1}}, f)
         return path
 
-    def check(self, base, current, *flags, base_bench="fixture"):
+    def check(self, base, current, *flags, base_bench="fixture",
+              current_cores=1):
         """Runs the checker, which must exit 0; returns
         ({compared name: flag}, stdout, job summary)."""
         if os.path.exists(self.summary):
             os.remove(self.summary)
         proc = subprocess.run(
-            [sys.executable, CHECKER, self.write("current", current, "fixture"),
+            [sys.executable, CHECKER,
+             self.write("current", current, "fixture", current_cores),
              self.write("base", base, base_bench), *flags],
             capture_output=True, text=True,
             env=dict(os.environ, GITHUB_STEP_SUMMARY=self.summary))
@@ -94,6 +97,19 @@ class CheckBenchRegressionTest(unittest.TestCase):
             {"zero": (5.0, False), "negative": (5.0, True),
              "positive": (1.0, False)})
         self.assertEqual(rows, {"positive": ""})
+
+    def test_core_count_mismatch_warns_and_still_compares(self):
+        base = {"seconds": (1.0, False), "evals": (100.0, True)}
+        current = {"seconds": (1.25, False), "evals": (100.0, True)}
+        rows, out, summary = self.check(base, current, current_cores=4)
+        self.assertEqual(rows, {"seconds": "REGRESSION", "evals": ""})
+        self.assertEqual(out.count("core count mismatch"), 1)
+        self.assertIn("current ran on 4 core(s), baseline on 1", out)
+        self.assertIn("different hardware", summary)
+        rows, out, summary = self.check(base, current)
+        self.assertEqual(rows, {"seconds": "REGRESSION", "evals": ""})
+        self.assertNotIn("core count mismatch", out)
+        self.assertNotIn("different hardware", summary)
 
     def test_bench_mismatch_compares_nothing(self):
         rows, out, summary = self.check({"seconds": (1.0, False)},

@@ -41,14 +41,18 @@ double Variance(const std::vector<double>& xs) {
 double Stddev(const std::vector<double>& xs) { return std::sqrt(Variance(xs)); }
 
 double Percentile(std::vector<double> xs, double p) {
-  if (xs.empty()) return 0.0;
   std::sort(xs.begin(), xs.end());
+  return PercentileSorted(xs, p);
+}
+
+double PercentileSorted(const std::vector<double>& sorted, double p) {
+  if (sorted.empty()) return 0.0;
   p = Clamp(p, 0.0, 100.0);
-  double rank = p / 100.0 * static_cast<double>(xs.size() - 1);
+  double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   size_t lo = static_cast<size_t>(std::floor(rank));
   size_t hi = static_cast<size_t>(std::ceil(rank));
   double frac = rank - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 double NormPdf(double x) {

@@ -30,6 +30,9 @@ double Stddev(const std::vector<double>& xs);
 /// Linear-interpolated percentile, p in [0, 100]. Empty input returns 0.
 double Percentile(std::vector<double> xs, double p);
 
+/// Percentile of input already sorted ascending: no copy, no sort.
+double PercentileSorted(const std::vector<double>& sorted, double p);
+
 /// Standard normal probability density function.
 double NormPdf(double x);
 

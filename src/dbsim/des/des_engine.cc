@@ -8,7 +8,6 @@
 #include "src/common/rng.h"
 #include "src/dbsim/des/event_queue.h"
 #include "src/dbsim/des/txn_mix.h"
-#include "src/dbsim/des/zipf.h"
 
 namespace llamatune {
 namespace dbsim {
@@ -34,6 +33,13 @@ double SampleGamma(int shape, double mean, Rng* rng) {
 DesResult SimulateRun(const ModelOutput& analytic,
                       const WorkloadSpec& workload,
                       const DesOptions& options) {
+  return SimulateRun(analytic, workload, options,
+                     ZipfianGenerator(kDesKeySpace, workload.zipf_theta));
+}
+
+DesResult SimulateRun(const ModelOutput& analytic,
+                      const WorkloadSpec& workload, const DesOptions& options,
+                      const ZipfianGenerator& zipf) {
   DesResult result;
   if (analytic.crashed || analytic.throughput <= 0.0) return result;
 
@@ -91,7 +97,6 @@ DesResult SimulateRun(const ModelOutput& analytic,
   // Zipfian key space decides which transactions pay the miss path.
   // The hot-key cutoff must hold the analytic *access-mass* hit rate,
   // not a key-space fraction, so calibrate it against sampled draws.
-  ZipfianGenerator zipf(100000, workload.zipf_theta);
   double hit_rate =
       counters.blks_hit_per_s + counters.blks_read_per_s > 0
           ? counters.blks_hit_per_s /
@@ -177,9 +182,11 @@ DesResult SimulateRun(const ModelOutput& analytic,
 
   result.completed = static_cast<int>(steady.size());
   result.sim_seconds = now;
+  // The mean sums in completion order, so take it before sorting.
   result.avg_latency_ms = Mean(steady);
-  result.p95_latency_ms = Percentile(steady, 95.0);
-  result.p99_latency_ms = Percentile(steady, 99.0);
+  std::sort(steady.begin(), steady.end());
+  result.p95_latency_ms = PercentileSorted(steady, 95.0);
+  result.p99_latency_ms = PercentileSorted(steady, 99.0);
   double measured_window_s =
       now * (1.0 - options.warmup_fraction);
   result.throughput = measured_window_s > 0

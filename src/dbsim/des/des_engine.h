@@ -3,12 +3,16 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/dbsim/des/zipf.h"
 #include "src/dbsim/perf_model.h"
 #include "src/dbsim/workloads.h"
 
 namespace llamatune {
 namespace dbsim {
 namespace des {
+
+/// Distinct keys in the Zipfian key space every DES run draws from.
+constexpr int64_t kDesKeySpace = 100000;
 
 /// \brief Discrete-event run settings.
 struct DesOptions {
@@ -51,6 +55,14 @@ struct DesResult {
 /// are then *measured* from the empirical distribution rather than
 /// derived from a closed form — which is how the simulator earns its
 /// p95 numbers and its run-length-dependent noise.
+///
+/// \p zipf must be ZipfianGenerator(kDesKeySpace, workload.zipf_theta);
+/// it is read-only here, so one generator can serve any number of runs
+/// and threads.
+DesResult SimulateRun(const ModelOutput& analytic, const WorkloadSpec& workload,
+                      const DesOptions& options, const ZipfianGenerator& zipf);
+
+/// As above, building the workload's generator for this one run.
 DesResult SimulateRun(const ModelOutput& analytic, const WorkloadSpec& workload,
                       const DesOptions& options);
 

@@ -21,7 +21,7 @@ class ZipfianGenerator {
   /// \param theta skew in [0, 1); 0 degenerates to uniform.
   ZipfianGenerator(int64_t n, double theta);
 
-  int64_t Next(Rng* rng);
+  int64_t Next(Rng* rng) const;
 
   int64_t num_keys() const { return n_; }
   double theta() const { return theta_; }

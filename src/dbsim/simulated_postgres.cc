@@ -23,6 +23,7 @@ SimulatedPostgres::SimulatedPostgres(WorkloadSpec workload,
 std::unique_ptr<ObjectiveFunction> SimulatedPostgres::Clone() const {
   auto clone =
       std::make_unique<SimulatedPostgres>(model_->workload(), options_);
+  clone->zipf_ = zipf_;
   clone->eval_count_ = eval_count_;
   return clone;
 }
@@ -96,8 +97,12 @@ EvalResult SimulatedPostgres::EvaluateAt(const Configuration& config,
     des_options.seed = HashCombine(
         HashCombine(options_.noise_seed, config.Hash()),
         static_cast<uint64_t>(eval_index));
+    if (zipf_ == nullptr) {
+      zipf_ = std::make_shared<const des::ZipfianGenerator>(
+          des::kDesKeySpace, model_->workload().zipf_theta);
+    }
     des::DesResult run = des::SimulateRun(out, model_->workload(),
-                                          des_options);
+                                          des_options, *zipf_);
     result.value = options_.target == TuningTarget::kThroughput
                        ? run.throughput
                        : run.p95_latency_ms;

@@ -11,6 +11,10 @@
 namespace llamatune {
 namespace dbsim {
 
+namespace des {
+class ZipfianGenerator;
+}  // namespace des
+
 /// \brief What the tuning session optimizes (paper §6.1: throughput by
 /// default; §6.2 also tunes 95th-percentile latency at a fixed rate).
 enum class TuningTarget { kThroughput, kP95Latency };
@@ -70,8 +74,9 @@ class SimulatedPostgres : public ObjectiveFunction {
   const ConfigSpace& config_space() const override { return space_; }
 
   /// Independent simulator instance over the same workload and
-  /// options (fresh evaluation counter); enables the session's
-  /// parallel batch evaluation.
+  /// options (same evaluation counter, own from then on); enables the
+  /// session's parallel batch evaluation. Shares the immutable DES key
+  /// generator if this instance has built it.
   std::unique_ptr<ObjectiveFunction> Clone() const override;
 
   /// The per-evaluation noise counter, so checkpointed sessions resume
@@ -97,6 +102,10 @@ class SimulatedPostgres : public ObjectiveFunction {
   ConfigSpace space_;
   SimulatedPostgresOptions options_;
   std::unique_ptr<PerfModel> model_;
+  /// The workload's DES key generator: built on the first DES
+  /// evaluation (its normaliser is an O(key space) sum), then read-only
+  /// and shared with clones taken after that.
+  std::shared_ptr<const des::ZipfianGenerator> zipf_;
   int eval_count_ = 0;
 };
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
 
@@ -179,6 +180,26 @@ TEST(MathTest, PercentileInterpolates) {
   EXPECT_DOUBLE_EQ(Percentile(xs, 50.0), 3.0);
   EXPECT_DOUBLE_EQ(Percentile(xs, 25.0), 2.0);
   EXPECT_EQ(Percentile({}, 50.0), 0.0);
+}
+
+// Percentile sorts a copy and defers to PercentileSorted, so a caller
+// that sorts once may take several percentiles from one vector.
+TEST(MathTest, PercentileSortedMatchesPercentile) {
+  for (int seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    std::vector<double> xs;
+    for (int i = 0; i < 50 + 13 * seed; ++i) xs.push_back(rng.Uniform(-10, 10));
+    std::vector<double> sorted = xs;
+    std::sort(sorted.begin(), sorted.end());
+    for (double p : {0.0, 1.0, 25.0, 50.0, 95.0, 99.0, 100.0}) {
+      EXPECT_EQ(PercentileSorted(sorted, p), Percentile(xs, p))
+          << "seed " << seed << " p " << p;
+    }
+  }
+  EXPECT_EQ(PercentileSorted({4.5}, 95.0), 4.5);
+  EXPECT_EQ(PercentileSorted({4.5}, 95.0), Percentile({4.5}, 95.0));
+  EXPECT_EQ(PercentileSorted({}, 50.0), 0.0);
+  EXPECT_EQ(PercentileSorted({}, 50.0), Percentile({}, 50.0));
 }
 
 TEST(MathTest, NormCdfPdfProperties) {

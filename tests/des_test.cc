@@ -5,6 +5,8 @@
 #include <map>
 #include <vector>
 
+#include "src/common/math_util.h"
+#include "src/common/rng.h"
 #include "src/dbsim/des/des_engine.h"
 #include "src/dbsim/des/event_queue.h"
 #include "src/dbsim/des/zipf.h"
@@ -236,6 +238,102 @@ TEST_F(DesFixture, CheckpointCadenceCouplesPeriodToRunLength) {
   DesResult again = SimulateRun(analytic, TpcC(), short_run);
   EXPECT_TRUE(IsBitPrefix(again.latencies, prefix.latencies));
   EXPECT_EQ(again.latencies.size(), prefix.latencies.size());
+}
+
+// One generator per simulator is only sound if a run neither depends on
+// having built its own generator nor mutates the one it is given: every
+// run on a shared generator equals the self-building form bit for bit,
+// and its summary statistics are exactly those of its steady-state
+// latencies in completion order (the mean is summed before the sort).
+TEST(DesSharedGenerator, SharedGeneratorRunsEqualSelfBuiltRuns) {
+  ConfigSpace space = PostgresV96Catalog();
+  for (const WorkloadSpec& workload : {TpcC(), YcsbA()}) {
+    PerfModel model(&space, workload, PostgresVersion::kV96);
+    ModelOutput analytic = model.Run(space.DefaultConfiguration());
+    const ZipfianGenerator shared(kDesKeySpace, workload.zipf_theta);
+    for (int transactions : {20000, 2500}) {  // fidelity 1.0 and 0.125
+      for (uint64_t seed : {3u, 4u}) {
+        SCOPED_TRACE(workload.name + " txns=" +
+                     std::to_string(transactions) +
+                     " seed=" + std::to_string(seed));
+        DesOptions options;
+        options.seed = seed;
+        options.max_transactions = transactions;
+        options.capture_latencies = true;
+        DesResult own = SimulateRun(analytic, workload, options);
+        DesResult reused = SimulateRun(analytic, workload, options, shared);
+        ASSERT_GT(own.completed, 0);
+        EXPECT_EQ(reused.throughput, own.throughput);
+        EXPECT_EQ(reused.avg_latency_ms, own.avg_latency_ms);
+        EXPECT_EQ(reused.p95_latency_ms, own.p95_latency_ms);
+        EXPECT_EQ(reused.p99_latency_ms, own.p99_latency_ms);
+        EXPECT_EQ(reused.latencies, own.latencies);
+
+        int skip = static_cast<int>(own.latencies.size() *
+                                    options.warmup_fraction);
+        std::vector<double> steady(own.latencies.begin() + skip,
+                                   own.latencies.end());
+        EXPECT_EQ(own.avg_latency_ms, Mean(steady));
+        EXPECT_EQ(own.p95_latency_ms, Percentile(steady, 95.0));
+        EXPECT_EQ(own.p99_latency_ms, Percentile(steady, 99.0));
+      }
+    }
+  }
+}
+
+// SimulatedPostgres builds its generator on the first DES evaluation
+// and hands it to clones taken after that. A clone taken before (no
+// generator yet) and one taken after must each replay a fresh instance
+// at the same evaluation counter, and every evaluation must be the
+// self-building SimulateRun under the evaluation's seed.
+TEST(DesSharedGenerator, ClonesBeforeAndAfterFirstEvaluationReplayFresh) {
+  SimulatedPostgresOptions options;
+  options.engine = EngineKind::kDiscreteEvent;
+  options.des_transactions = 4000;
+  SimulatedPostgres db(TpcC(), options);
+  // The default and three one-knob moves off it (none crash).
+  const ConfigSpace& space = db.config_space();
+  std::vector<Configuration> configs(4, space.DefaultConfiguration());
+  const char* knobs[] = {"shared_buffers", "checkpoint_completion_target",
+                         "random_page_cost"};
+  for (int i = 0; i < 3; ++i) {
+    int k = space.IndexOf(knobs[i]);
+    ASSERT_GE(k, 0) << knobs[i];
+    configs[i + 1].values()[k] = space.UnitToValue(k, 0.25 * (i + 1));
+    ASSERT_FALSE(db.RunNoiseless(configs[i + 1]).crashed) << knobs[i];
+  }
+  const std::vector<double> fidelities = {1.0, 0.125, 0.5, 1.0};
+
+  auto run_sequence = [&](ObjectiveFunction* fn) {
+    std::vector<double> values;
+    for (size_t i = 0; i < configs.size(); ++i) {
+      values.push_back(fn->EvaluateAt(configs[i], fidelities[i]).value);
+    }
+    return values;
+  };
+
+  std::unique_ptr<ObjectiveFunction> before = db.Clone();
+  std::vector<double> first = run_sequence(&db);
+  std::unique_ptr<ObjectiveFunction> after = db.Clone();
+  ASSERT_EQ(db.evaluations(), static_cast<int>(configs.size()));
+
+  SimulatedPostgres fresh_at_zero(TpcC(), options);
+  EXPECT_EQ(run_sequence(before.get()), run_sequence(&fresh_at_zero));
+  SimulatedPostgres fresh_at_count(TpcC(), options);
+  ASSERT_TRUE(fresh_at_count.RestoreState(db.SaveState().value()).ok());
+  EXPECT_EQ(run_sequence(after.get()), run_sequence(&fresh_at_count));
+
+  for (size_t i = 0; i < configs.size(); ++i) {
+    DesOptions des_options;
+    des_options.max_transactions = static_cast<int>(
+        std::lround(options.des_transactions * fidelities[i]));
+    des_options.seed =
+        HashCombine(HashCombine(options.noise_seed, configs[i].Hash()), i);
+    DesResult run = SimulateRun(db.RunNoiseless(configs[i]), TpcC(),
+                                des_options);
+    EXPECT_GT(run.throughput, 0.0) << "evaluation " << i;
+    EXPECT_EQ(first[i], run.throughput) << "evaluation " << i;
+  }
 }
 
 TEST(DesEngineIntegration, SimulatedPostgresDiscreteEventEngine) {
