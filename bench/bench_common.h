@@ -6,7 +6,6 @@
 // racing simulator grids, and the synthetic GP workload that bm_hotpath
 // and bm_largen time.
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -14,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/clock.h"
 #include "src/common/rng.h"
 #include "src/core/adapter_registry.h"
 #include "src/core/tuning_session.h"
@@ -175,13 +175,6 @@ inline RacingCell RunRacingGridCell(uint64_t seed, int iterations,
 }
 
 /// @}
-
-/// Monotonic wall-clock seconds, for timing a bench section.
-inline double NowSeconds() {
-  using Clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(Clock::now().time_since_epoch())
-      .count();
-}
 
 /// \name The synthetic GP workload (bm_hotpath, bm_largen)
 /// @{

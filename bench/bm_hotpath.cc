@@ -41,7 +41,6 @@ namespace llamatune {
 namespace {
 
 using bench::DrawPoint;
-using bench::NowSeconds;
 using bench::SyntheticObjective;
 
 // ---------------------------------------------------------------------------

@@ -57,7 +57,6 @@ namespace llamatune {
 namespace {
 
 using bench::DrawPoint;
-using bench::NowSeconds;
 using bench::SyntheticObjective;
 
 /// Peak resident set size of this process so far, in MB.

@@ -46,7 +46,6 @@
 namespace llamatune {
 namespace {
 
-using bench::NowSeconds;
 
 double Measure(const Configuration& config) {
   double x = config[0] / 100.0;

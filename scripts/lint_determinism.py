@@ -20,10 +20,9 @@ Rules (see docs/static-analysis.md for the rationale table):
   raw-rng         std::random_device / rand() / srand() / unseeded
                   engines outside src/common/rng — all randomness must
                   flow from an explicitly seeded Rng.
-  wall-clock      chrono clock reads and time() outside the allowlist
-                  (service/server timers, the one
-                  optimizer-seconds token normalized out of
-                  checkpoints) — time must never feed trajectories.
+  wall-clock      chrono clock reads and time() outside
+                  src/common/clock.h, the one clock module — time
+                  must never feed trajectories.
   unordered-container
                   std::unordered_{map,set,...} in serialization /
                   checkpoint / wire paths — iteration order is
@@ -99,18 +98,14 @@ RULES = [
     {
         "name": "wall-clock",
         "pattern": re.compile(
-            r"(?:system_clock|steady_clock|high_resolution_clock)::now"
+            r"(?:system_clock|steady_clock|high_resolution_clock|\bClock)::now"
             r"|(?<![\w:.])time\s*\(\s*(?:NULL|nullptr|0)?\s*\)"
         ),
-        "allow": (
-            # The optimizer-seconds token, normalized out of checkpoints
-            # before comparison (see docs/checkpoint-format.md).
-            "src/core/tuning_session.cc",
-            # Session activity timestamps and server/client timers:
-            # operational metadata, never part of a trajectory.
-            "src/service/tuning_service.cc",
-            "src/net/",
-        ),
+        # The one clock module: the optimizer-seconds token (normalized
+        # out of checkpoints before comparison), session activity
+        # timestamps, pending-trial deadlines and server/client timers
+        # all read it, and none of them is part of a trajectory.
+        "allow": ("src/common/clock.",),
         "why": "wall-clock reads must never feed committed trajectories",
     },
     {

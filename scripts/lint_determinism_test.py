@@ -182,6 +182,11 @@ class RulePatternTest(unittest.TestCase):
         self.assertIsNone(
             self.pattern("wall-clock").search("x.time_since_epoch()"))
 
+    def test_clock_alias_is_wall_clock(self):
+        # `using Clock = std::chrono::steady_clock;` must not hide a read.
+        self.assertIsNotNone(
+            self.pattern("wall-clock").search("Clock::now().count()"))
+
     def test_member_named_time_is_not_wall_clock(self):
         self.assertIsNone(
             self.pattern("wall-clock").search("status.time(now)"))

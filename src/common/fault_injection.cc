@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "src/common/rng.h"
 #include "src/common/sync.h"
 
 namespace llamatune {
@@ -28,15 +29,6 @@ struct Registry {
 Registry& GetRegistry() {
   static Registry* registry = new Registry();
   return *registry;
-}
-
-// 64-bit mix (splitmix64 finalizer): decorrelates (seed, site, hit)
-// into an effectively uniform 64-bit value.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 uint64_t HashSite(const std::string& site) {

@@ -42,6 +42,16 @@ class Rng {
   std::mt19937_64 engine_;
 };
 
+/// \brief The splitmix64 finalizer: a cheap, stable 64-bit mixer. Fault
+/// schedules, the server's shed jitter and the client's retry jitter
+/// all draw from it, so chaos_test and the drain soak pin its bits.
+inline uint64_t Mix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// \brief Stable 64-bit hash combiner (splitmix-style) for deriving
 /// per-evaluation noise seeds from (config hash, iteration).
 uint64_t HashCombine(uint64_t a, uint64_t b);

@@ -1,12 +1,12 @@
 #include "src/core/tuning_session.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <string_view>
 #include <utility>
 
+#include "src/common/clock.h"
 #include "src/common/serde.h"
 #include "src/common/thread_pool.h"
 #include "src/optimizer/history_io.h"
@@ -14,19 +14,6 @@
 namespace llamatune {
 
 namespace {
-
-double NowSeconds() {
-  using Clock = std::chrono::steady_clock;
-  return std::chrono::duration<double>(Clock::now().time_since_epoch())
-      .count();
-}
-
-int64_t NowUnixMillis() {
-  using Clock = std::chrono::system_clock;
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             Clock::now().time_since_epoch())
-      .count();
-}
 
 constexpr char kCheckpointHeader[] = "llamatune-checkpoint";
 // v2: per-outcome penalty options, pending-trial deadlines, "told"
@@ -248,40 +235,7 @@ double TuningSession::RungFidelity(int rung) const {
   return std::pow(racing.min_fidelity, exponent);
 }
 
-Status TuningSession::StartRace() {
-  const RacingOptions& racing = *options_.racing;
-  double t0 = NowSeconds();
-  std::vector<std::vector<double>> points;
-  if (racing.cohort == 1) {
-    // The single-candidate draw goes through Suggest(), exactly like a
-    // non-racing Ask — the degenerate race must consume the identical
-    // optimizer call sequence.
-    points.push_back(optimizer_->Suggest());
-  } else {
-    points = optimizer_->SuggestBatch(racing.cohort);
-    if (static_cast<int>(points.size()) > racing.cohort) {
-      points.resize(racing.cohort);
-    }
-  }
-  optimizer_seconds_ += NowSeconds() - t0;
-  if (points.empty()) {
-    stopped_ = true;
-    return Status::OutOfRange("Ask: optimizer returned no race candidates");
-  }
-  race_.emplace();
-  race_->candidates.reserve(points.size());
-  for (auto& point : points) {
-    RaceCandidate candidate;
-    candidate.config = adapter_->Project(point);
-    candidate.point = std::move(point);
-    race_->candidates.push_back(std::move(candidate));
-  }
-  StartRung();
-  return Status::OK();
-}
-
 void TuningSession::StartRung() {
-  double fidelity = RungFidelity(race_->rung);
   Round round;
   round.kind = Round::Kind::kRung;
   race_->slot_candidates.clear();
@@ -290,18 +244,13 @@ void TuningSession::StartRung() {
   for (size_t c = 0; c < race_->candidates.size(); ++c) {
     if (!race_->candidates[c].alive) continue;
     Trial trial;
-    trial.id = next_trial_id_++;
     trial.point = race_->candidates[c].point;
     trial.config = race_->candidates[c].config;
-    trial.fidelity = fidelity;
-    int slot = static_cast<int>(round.ids.size());
-    round.ids.push_back(trial.id);
+    trial.fidelity = RungFidelity(race_->rung);
+    int64_t id = AddPendingTrial(std::move(trial), &round).id;
     race_->slot_candidates.push_back(static_cast<int>(c));
-    race_->slot_of_id.emplace(trial.id, slot);
-    race_->unserved.push_back(trial.id);
-    pending_.emplace(trial.id,
-                     PendingTrial{std::move(trial), std::nullopt,
-                                  NowUnixMillis()});
+    race_->slot_of_id.emplace(id, static_cast<int>(round.ids.size()) - 1);
+    race_->unserved.push_back(id);
   }
   round.requested = static_cast<int>(round.ids.size());
   open_rounds_.push_back(std::move(round));
@@ -424,142 +373,124 @@ void TuningSession::CommitRungRound(Round& round) {
   race_.reset();
 }
 
-Result<Trial> TuningSession::Ask() {
-  if (!init_status_.ok()) return init_status_;
-  if (!baseline_done_) {
-    if (baseline_pending_) {
-      return Status::FailedPrecondition(
-          "Ask: the baseline trial is outstanding; Tell its result first");
-    }
-    Trial trial;
-    trial.id = next_trial_id_++;
-    trial.config = config_space_->DefaultConfiguration();
-    trial.is_baseline = true;
-    Round round;
-    round.kind = Round::Kind::kBaseline;
-    round.requested = 1;
-    round.ids = {trial.id};
-    pending_.emplace(trial.id,
-                    PendingTrial{trial, std::nullopt, NowUnixMillis()});
-    open_rounds_.push_back(std::move(round));
-    baseline_pending_ = true;
-    return trial;
-  }
-  if (stopped_ && !replaying_) {
-    return Status::OutOfRange("Ask: session stopped (budget or early stop)");
-  }
-  if (options_.racing.has_value()) {
-    if (!race_.has_value()) {
-      if (RemainingBudget() <= 0) {
-        return Status::OutOfRange(
-            "Ask: iteration budget exhausted (counting the active race)");
-      }
-      LT_RETURN_NOT_OK(StartRace());
-    }
-    if (race_->unserved.empty()) {
-      return Status::FailedPrecondition(
-          "Ask: the current racing rung is fully handed out; Tell its "
-          "results to open the next rung");
-    }
-    int64_t id = race_->unserved.front();
-    race_->unserved.pop_front();
-    return pending_.at(id).trial;
-  }
-  if (RemainingBudget() <= 0) {
-    return Status::OutOfRange(
-        "Ask: iteration budget exhausted (counting pending trials)");
-  }
-  double t0 = NowSeconds();
-  std::vector<double> point = optimizer_->Suggest();
-  optimizer_seconds_ += NowSeconds() - t0;
-
-  Trial trial;
+const Trial& TuningSession::AddPendingTrial(Trial trial, Round* round) {
   trial.id = next_trial_id_++;
-  trial.config = adapter_->Project(point);
-  trial.point = std::move(point);
-  Round round;
-  round.kind = Round::Kind::kSingle;
-  round.requested = 1;
-  round.ids = {trial.id};
-  pending_.emplace(trial.id,
-                    PendingTrial{trial, std::nullopt, NowUnixMillis()});
-  open_rounds_.push_back(std::move(round));
-  return trial;
+  round->ids.push_back(trial.id);
+  auto it = pending_.emplace(trial.id, PendingTrial{std::move(trial),
+                                                    std::nullopt,
+                                                    NowUnixMillis()});
+  return it.first->second.trial;
 }
 
-Result<std::vector<Trial>> TuningSession::AskBatch(int n) {
+Result<std::vector<Trial>> TuningSession::OpenRound(int n, bool single,
+                                                    const char* what) {
+  // Error texts name the public entry point; they are built only on
+  // the error path.
+  auto fail = [what](StatusCode code, const char* text) {
+    return Status(code, std::string(what) + ": " + text);
+  };
   if (!init_status_.ok()) return init_status_;
   if (n < 1) {
-    return Status::InvalidArgument("AskBatch: n must be >= 1, got " +
+    return Status::InvalidArgument(std::string(what) +
+                                   ": n must be >= 1, got " +
                                    std::to_string(n));
   }
-  if (!baseline_done_) {
-    Result<Trial> baseline = Ask();
-    if (!baseline.ok()) return baseline.status();
-    return std::vector<Trial>{std::move(baseline).ValueOrDie()};
-  }
-  if (stopped_ && !replaying_) {
-    return Status::OutOfRange("AskBatch: session stopped");
-  }
-  if (options_.racing.has_value()) {
-    if (!race_.has_value()) {
-      if (RemainingBudget() <= 0) {
-        return Status::OutOfRange(
-            "AskBatch: iteration budget exhausted (counting the active "
-            "race)");
-      }
-      LT_RETURN_NOT_OK(StartRace());
-    }
-    if (race_->unserved.empty()) {
-      return Status::FailedPrecondition(
-          "AskBatch: the current racing rung is fully handed out; Tell its "
-          "results to open the next rung");
-    }
-    std::vector<Trial> trials;
-    while (!race_->unserved.empty() &&
-           static_cast<int>(trials.size()) < n) {
-      int64_t id = race_->unserved.front();
-      race_->unserved.pop_front();
-      trials.push_back(pending_.at(id).trial);
-    }
-    return trials;
-  }
-  int budget = RemainingBudget();
-  if (budget <= 0) {
-    return Status::OutOfRange(
-        "AskBatch: iteration budget exhausted (counting pending trials)");
-  }
-  n = std::min(n, budget);
-
-  double t0 = NowSeconds();
-  std::vector<std::vector<double>> points = optimizer_->SuggestBatch(n);
-  optimizer_seconds_ += NowSeconds() - t0;
-  // An override may return fewer points than asked; never accept more
-  // (extra points would overshoot the iteration budget, and in the
-  // Run/Step path would share evaluation clones across threads).
-  if (static_cast<int>(points.size()) > n) points.resize(n);
-  if (points.empty()) {
-    stopped_ = true;
-    return Status::OutOfRange("AskBatch: optimizer returned no suggestions");
-  }
-
   Round round;
-  round.kind = Round::Kind::kBatch;
-  round.requested = n;
   std::vector<Trial> trials;
-  trials.reserve(points.size());
-  for (auto& point : points) {
-    Trial trial;
-    trial.id = next_trial_id_++;
-    trial.config = adapter_->Project(point);
-    trial.point = std::move(point);
-    round.ids.push_back(trial.id);
-    pending_.emplace(trial.id,
-                    PendingTrial{trial, std::nullopt, NowUnixMillis()});
-    trials.push_back(std::move(trial));
+  if (!baseline_done_) {
+    if (baseline_pending_) {
+      return fail(StatusCode::kFailedPrecondition,
+                  "the baseline trial is outstanding; Tell its result first");
+    }
+    // Iteration 0 is a round of one, whatever n asks for.
+    round.kind = Round::Kind::kBaseline;
+    trials.emplace_back();
+    trials[0].config = config_space_->DefaultConfiguration();
+    trials[0].is_baseline = true;
+    baseline_pending_ = true;
+  } else if (stopped_ && !replaying_) {
+    return fail(StatusCode::kOutOfRange,
+                "session stopped (budget or early stop)");
+  } else {
+    const bool racing = options_.racing.has_value();
+    if (!racing || !race_.has_value()) {
+      int budget = RemainingBudget();
+      if (budget <= 0) {
+        return fail(StatusCode::kOutOfRange,
+                    racing ? "iteration budget exhausted (counting the "
+                             "active race)"
+                           : "iteration budget exhausted (counting pending "
+                             "trials)");
+      }
+      // A race draws its whole cohort at once, through Suggest() when
+      // the cohort is one, so the degenerate race consumes the
+      // identical optimizer call sequence as a non-racing Ask.
+      int draw = racing ? options_.racing->cohort : std::min(n, budget);
+      bool draw_single = racing ? draw == 1 : single;
+      double t0 = NowSeconds();
+      std::vector<std::vector<double>> points;
+      if (draw_single) {
+        points.push_back(optimizer_->Suggest());
+      } else {
+        points = optimizer_->SuggestBatch(draw);
+      }
+      optimizer_seconds_ += NowSeconds() - t0;
+      // An override may return fewer points than asked; never accept
+      // more (extra points would overshoot the iteration budget, and in
+      // the Run/Step path would share evaluation clones across threads).
+      if (static_cast<int>(points.size()) > draw) points.resize(draw);
+      if (points.empty()) {
+        stopped_ = true;
+        return fail(StatusCode::kOutOfRange,
+                    "optimizer returned no suggestions");
+      }
+      if (racing) {
+        race_.emplace();
+        race_->candidates.resize(points.size());
+        for (size_t c = 0; c < points.size(); ++c) {
+          race_->candidates[c].config = adapter_->Project(points[c]);
+          race_->candidates[c].point = std::move(points[c]);
+        }
+        StartRung();
+      } else {
+        round.kind = draw_single ? Round::Kind::kSingle : Round::Kind::kBatch;
+        round.requested = draw;
+        trials.resize(points.size());
+        for (size_t i = 0; i < points.size(); ++i) {
+          trials[i].config = adapter_->Project(points[i]);
+          trials[i].point = std::move(points[i]);
+        }
+      }
+    }
+    if (racing) {
+      // The rung's trials were created with its round; hand out up to n.
+      if (race_->unserved.empty()) {
+        return fail(StatusCode::kFailedPrecondition,
+                    "the current racing rung is fully handed out; Tell its "
+                    "results to open the next rung");
+      }
+      while (!race_->unserved.empty() && static_cast<int>(trials.size()) < n) {
+        trials.push_back(pending_.at(race_->unserved.front()).trial);
+        race_->unserved.pop_front();
+      }
+      return trials;
+    }
+  }
+  for (Trial& trial : trials) {
+    trial = AddPendingTrial(std::move(trial), &round);
   }
   open_rounds_.push_back(std::move(round));
   return trials;
+}
+
+Result<Trial> TuningSession::Ask() {
+  Result<std::vector<Trial>> round = OpenRound(1, /*single=*/true, "Ask");
+  if (!round.ok()) return round.status();
+  return std::move(std::move(round).ValueOrDie().front());
+}
+
+Result<std::vector<Trial>> TuningSession::AskBatch(int n) {
+  return OpenRound(n, /*single=*/false, "AskBatch");
 }
 
 Status TuningSession::Tell(const TrialResult& result) {
@@ -852,44 +783,19 @@ bool TuningSession::Step() {
   if (!init_status_.ok()) return false;
   if (objective_ == nullptr) return false;  // detached: caller drives Ask/Tell
   if (stopped_) return false;
-
-  if (!baseline_done_) {
-    Result<Trial> baseline = Ask();
-    if (!baseline.ok()) return false;
-    std::vector<TrialResult> results = EvaluateTrials({*baseline});
-    Tell(results[0]);
-    return true;
-  }
-
-  if (iterations_run_ >= options_.num_iterations) {
-    stopped_ = true;
-    return false;
-  }
-
-  if (options_.racing.has_value()) {
-    // One Step = one rung: ask the whole rung, measure it (in parallel
-    // across clones when the cohort is wide), and tell the results —
-    // the commit path then eliminates candidates and opens the next
-    // rung, or commits the race champion.
-    Result<std::vector<Trial>> trials = AskBatch(options_.racing->cohort);
-    if (!trials.ok()) return false;
-    std::vector<TrialResult> results = EvaluateTrials(*trials);
-    TellBatch(results);
-    return true;
-  }
-
-  if (options_.batch_size > 1) {
-    Result<std::vector<Trial>> trials = AskBatch(options_.batch_size);
-    if (!trials.ok()) return false;
-    std::vector<TrialResult> results = EvaluateTrials(*trials);
-    TellBatch(results);
-    return true;
-  }
-
-  Result<Trial> trial = Ask();
-  if (!trial.ok()) return false;
-  std::vector<TrialResult> results = EvaluateTrials({*trial});
-  Tell(results[0]);
+  // One Step = one round: the baseline, one whole racing rung, or a
+  // fresh round of batch_size. It is measured (in parallel across
+  // clones when wider than one) and told back; the commit path then
+  // observes it, or eliminates race candidates and opens the next rung,
+  // or commits the race champion. A spent budget ends the session
+  // through OpenRound's OutOfRange (the commit that spends it also sets
+  // stopped_, except in a baseline-only session).
+  int n = options_.racing.has_value() ? options_.racing->cohort
+                                      : options_.batch_size;
+  Result<std::vector<Trial>> trials =
+      OpenRound(n, /*single=*/options_.batch_size <= 1, "Step");
+  if (!trials.ok()) return false;
+  TellBatch(EvaluateTrials(*trials));
   return true;
 }
 
@@ -1122,8 +1028,7 @@ Status TuningSession::Restore(const std::string& checkpoint) {
     std::vector<SavedTold> told;
   };
   std::vector<SavedRound> saved_rounds;
-  in.Each("rounds", saved_rounds, [file_version](TokenReader& in,
-                                                 SavedRound& round) {
+  in.Each("rounds", saved_rounds, [&](TokenReader& in, SavedRound& round) {
     in.Literal("round");
     std::string_view tag = in.Next();
     in.Check(tag == "D" || tag == "S" || tag == "B" || tag == "R",
@@ -1134,7 +1039,13 @@ Status TuningSession::Restore(const std::string& checkpoint) {
     round.tag = tag[0];
     in.Value(round.requested);
     in.Value(round.size);
-    if (round.tag == 'D') return;
+    if (round.tag == 'D') {
+      // The baseline's measurement is on the "baseline" line.
+      round.told.emplace_back();
+      round.told[0].value = saved_default;
+      round.told[0].metrics = saved_baseline_metrics;
+      return;
+    }
     // Rung slots carry their measurement inline (they are not KB
     // records) and are never expired.
     const bool is_rung = round.tag == 'R';
@@ -1174,81 +1085,44 @@ Status TuningSession::Restore(const std::string& checkpoint) {
   replaying_ = true;
   Status replay_status = Status::OK();
   for (const SavedRound& round : saved_rounds) {
-    if (round.tag == 'D') {
-      Result<Trial> baseline = Ask();
-      if (!baseline.ok()) {
-        replay_status = Status::Internal("Restore: baseline replay failed: " +
-                                         baseline.status().ToString());
-        break;
-      }
-      TrialResult result;
-      result.trial_id = (*baseline).id;
-      result.value = saved_default;
-      result.metrics = saved_baseline_metrics;
-      Status told = Tell(result);
-      if (!told.ok()) {
-        replay_status = told;
-        break;
-      }
-      continue;
+    // Each round re-opens through the same path that opened it: the
+    // tag, not the caller, decides between Suggest and SuggestBatch.
+    Result<std::vector<Trial>> trials =
+        OpenRound(round.requested, /*single=*/round.tag == 'S', "Restore");
+    if (!trials.ok()) {
+      replay_status = Status::Internal("Restore: replay ask failed: " +
+                                       trials.status().ToString());
+      break;
     }
-    std::vector<Trial> trials;
-    if (round.tag == 'S') {
-      Result<Trial> trial = Ask();
-      if (!trial.ok()) {
-        replay_status = Status::Internal("Restore: replay Ask failed: " +
-                                         trial.status().ToString());
-        break;
-      }
-      trials.push_back(std::move(trial).ValueOrDie());
-    } else {
-      Result<std::vector<Trial>> batch = AskBatch(round.requested);
-      if (!batch.ok()) {
-        replay_status = Status::Internal("Restore: replay AskBatch failed: " +
-                                         batch.status().ToString());
-        break;
-      }
-      trials = std::move(batch).ValueOrDie();
-    }
-    if (static_cast<int>(trials.size()) != round.size) {
+    if (static_cast<int>(trials->size()) != round.size) {
       replay_status = Status::Internal(
           "Restore: replay produced a different round size than the "
           "checkpoint (optimizer mismatch?)");
       break;
     }
-    if (round.tag == 'R') {
+    for (int i = 0; i < round.size && replay_status.ok(); ++i) {
+      const Trial& trial = (*trials)[i];
+      const SavedTold& saved = round.told[i];
       // The race machinery regenerates rung trials; their fidelities
-      // must land exactly where the checkpoint recorded them.
-      for (int i = 0; i < round.size; ++i) {
-        if (EncodeDoubleBits(trials[i].fidelity) !=
-            EncodeDoubleBits(round.told[i].fidelity)) {
-          replay_status = Status::Internal(
-              "Restore: replayed rung fidelity diverges from the "
-              "checkpoint");
-          break;
-        }
-      }
-      if (!replay_status.ok()) break;
-    }
-    for (int i = 0; i < round.size; ++i) {
-      if (round.told[i].expired) {
-        Status dropped = Expire(trials[i].id);
+      // must land exactly where the checkpoint recorded them (every
+      // other slot is full-fidelity on both sides).
+      if (EncodeDoubleBits(trial.fidelity) !=
+          EncodeDoubleBits(saved.fidelity)) {
+        replay_status = Status::Internal(
+            "Restore: replayed trial fidelity diverges from the checkpoint");
+      } else if (saved.expired) {
+        Status dropped = Expire(trial.id);
         if (!dropped.ok()) {
           replay_status = Status::Internal("Restore: replay Expire failed: " +
                                            dropped.ToString());
-          break;
         }
-        continue;
-      }
-      TrialResult result;
-      result.trial_id = trials[i].id;
-      result.value = round.told[i].value;
-      result.outcome = round.told[i].outcome;
-      result.metrics = round.told[i].metrics;
-      Status told = Tell(result);
-      if (!told.ok()) {
-        replay_status = told;
-        break;
+      } else {
+        TrialResult result;
+        result.trial_id = trial.id;
+        result.value = saved.value;
+        result.outcome = saved.outcome;
+        result.metrics = saved.metrics;
+        replay_status = Tell(result);
       }
     }
     if (!replay_status.ok()) break;

@@ -367,7 +367,8 @@ class TuningSession {
     /// not re-derived from time.
     int64_t asked_at_ms = 0;
   };
-  /// One Ask/AskBatch call. `requested` is recorded for checkpoint
+  /// One opened round: the baseline, one Ask/AskBatch draw, or one
+  /// racing rung. `requested` is recorded for checkpoint
   /// replay: a SuggestBatch override may return fewer than requested,
   /// and replay must re-issue the original request to keep the
   /// optimizer's draw sequence intact.
@@ -404,7 +405,7 @@ class TuningSession {
     /// deadline expiry).
     std::map<int64_t, int> slot_of_id;
     /// Created-but-unserved trial ids of the current rung, in slot
-    /// order; Ask/AskBatch drain this queue.
+    /// order; OpenRound drains this queue.
     std::deque<int64_t> unserved;
   };
 
@@ -426,11 +427,8 @@ class TuningSession {
   /// @{
   /// Fidelity of rung r under the configured schedule.
   double RungFidelity(int rung) const;
-  /// Draws the cohort and opens rung 0. Fails like Ask on optimizer
-  /// exhaustion.
-  Status StartRace();
   /// Creates the current rung's trials (one per alive candidate) as a
-  /// new open round and queues them for Ask.
+  /// new open round and queues them for OpenRound to hand out.
   void StartRung();
   /// Applies CI-overlap elimination + the ceil(alive/eta) survivor cap
   /// after a non-final rung.
@@ -443,6 +441,16 @@ class TuningSession {
   /// @}
   /// Iteration budget not yet consumed by committed or pending trials.
   int RemainingBudget() const;
+  /// The one path that hands out trials, for Ask, AskBatch, Step and
+  /// Restore's replay: the baseline; else up to n unserved trials of
+  /// the active race's rung (drawing a new race's cohort first); else
+  /// a new round of min(n, remaining budget) drawn by Suggest() when
+  /// `single` and SuggestBatch(n) otherwise. `what` prefixes the error
+  /// texts.
+  Result<std::vector<Trial>> OpenRound(int n, bool single, const char* what);
+  /// Gives `trial` the next id, records it as pending in `round`, and
+  /// returns the stored copy.
+  const Trial& AddPendingTrial(Trial trial, Round* round);
   /// Evaluates trials against the attached objective: the baseline and
   /// single-trial rounds run on the objective itself; batch rounds run
   /// across the lazily built clone pool over the shared thread pool

@@ -12,25 +12,14 @@
 #include <thread>
 #include <utility>
 
+#include "src/common/clock.h"
 #include "src/common/fault_injection.h"
+#include "src/common/rng.h"
 
 namespace llamatune {
 namespace net {
 
 namespace {
-
-int64_t SteadyNowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// Milliseconds until `deadline_ms` (a SteadyNowMs value) for poll();
 /// -1 (wait forever) when no deadline is set, 0 when it passed.
@@ -337,56 +326,43 @@ Status TuningClient::Hello(const std::string& tenant) {
   return status;
 }
 
+Status TuningClient::CallDeduped(MessageKind kind, const std::string& payload,
+                                 StatusCode committed) {
+  bool retried = false;
+  Status status = Call(kind, payload, MessageKind::kOk, &retried).status();
+  if (retried && status.code() == committed) return Status::OK();
+  return status;
+}
+
 Status TuningClient::CreateSession(const std::string& name,
                                    const WireSessionSpec& spec) {
-  bool retried = false;
-  Status status = Call(MessageKind::kCreateSession,
-                       EncodeCreateSession(name, spec), MessageKind::kOk,
-                       &retried)
-                      .status();
-  if (status.ok()) {
-    last_seen_trial_[name] = 0;
-    return status;
-  }
   // A lost reply whose create committed answers the retry with
   // SessionAlreadyExists — that is success, not a conflict.
-  if (retried && status.code() == StatusCode::kSessionAlreadyExists) {
-    last_seen_trial_[name] = 0;
-    return Status::OK();
-  }
+  Status status =
+      CallDeduped(MessageKind::kCreateSession, EncodeCreateSession(name, spec),
+                  StatusCode::kSessionAlreadyExists);
+  if (status.ok()) last_seen_trial_[name] = 0;
   return status;
 }
 
 Status TuningClient::Resume(const std::string& name,
                             const WireSessionSpec& spec,
                             const std::string& checkpoint) {
-  bool retried = false;
-  Status status =
-      Call(MessageKind::kResume, EncodeResume(name, spec, checkpoint),
-           MessageKind::kOk, &retried)
-          .status();
-  if (retried && status.code() == StatusCode::kSessionAlreadyExists) {
-    return Status::OK();
-  }
-  return status;
+  return CallDeduped(MessageKind::kResume, EncodeResume(name, spec, checkpoint),
+                     StatusCode::kSessionAlreadyExists);
 }
 
 Status TuningClient::ResumeSaved(const std::string& name) {
-  bool retried = false;
-  Status status = Call(MessageKind::kResumeSaved, EncodeNameOnly(name),
-                       MessageKind::kOk, &retried)
-                      .status();
-  if (retried && status.code() == StatusCode::kSessionAlreadyExists) {
-    return Status::OK();
-  }
-  return status;
+  return CallDeduped(MessageKind::kResumeSaved, EncodeNameOnly(name),
+                     StatusCode::kSessionAlreadyExists);
 }
 
-Result<Trial> TuningClient::Ask(const std::string& name) {
+Result<std::vector<Trial>> TuningClient::AskRound(const std::string& name,
+                                                  int n, bool single) {
   RetryState state;
   // Set once an attempt fails after the request may have reached the
   // server: the ask could have committed with its reply lost, leaving
-  // an orphaned pending trial we must adopt rather than re-draw.
+  // orphaned pending trials we must adopt rather than re-draw.
   bool maybe_orphaned = false;
   for (;;) {
     Status conn = EnsureConnected();
@@ -394,134 +370,86 @@ Result<Trial> TuningClient::Ask(const std::string& name) {
     if (!conn.ok()) {
       if (conn.code() != StatusCode::kUnavailable) return conn;
       failure = conn;
-    } else if (maybe_orphaned) {
-      Result<Frame> reply = CallOnce(MessageKind::kGetPending,
-                                     EncodeNameOnly(name),
-                                     MessageKind::kPendingReply);
-      if (reply.ok()) {
-        int64_t next = 0;
-        std::vector<Trial> pending;
-        Status parse = DecodePendingReply(reply->payload, &next, &pending);
-        if (!parse.ok()) return parse;
-        int64_t watermark = last_seen_trial_[name];
-        const Trial* adopt = nullptr;
-        for (const Trial& trial : pending) {
-          if (trial.id > watermark &&
-              (adopt == nullptr || trial.id < adopt->id)) {
-            adopt = &trial;
-          }
-        }
-        if (adopt != nullptr) {
-          last_seen_trial_[name] = adopt->id;
-          return *adopt;
-        }
-        // Nothing orphaned: the lost attempt never committed, so a
-        // fresh ask is the *same* deterministic draw, not a skip.
-        maybe_orphaned = false;
-        continue;
-      }
-      if (reply.status().code() != StatusCode::kUnavailable) {
-        return reply.status();
-      }
-      failure = reply.status();
     } else {
-      Result<Frame> reply = CallOnce(MessageKind::kAsk, EncodeNameOnly(name),
-                                     MessageKind::kTrialReply);
-      if (reply.ok()) {
-        Result<Trial> trial = DecodeTrialReply(reply->payload);
-        if (trial.ok()) {
-          int64_t& watermark = last_seen_trial_[name];
-          watermark = std::max(watermark, trial->id);
+      Result<Frame> reply =
+          maybe_orphaned
+              ? CallOnce(MessageKind::kGetPending, EncodeNameOnly(name),
+                         MessageKind::kPendingReply)
+          : single ? CallOnce(MessageKind::kAsk, EncodeNameOnly(name),
+                              MessageKind::kTrialReply)
+                   : CallOnce(MessageKind::kAskBatch, EncodeAskBatch(name, n),
+                              MessageKind::kTrialsReply);
+      if (!reply.ok()) {
+        if (reply.status().code() != StatusCode::kUnavailable) {
+          return reply.status();
         }
-        return trial;
-      }
-      if (reply.status().code() != StatusCode::kUnavailable) {
-        return reply.status();
-      }
-      failure = reply.status();
-      maybe_orphaned = true;
-    }
-    if (!BackoffAndRetry(&state)) return failure;
-  }
-}
-
-Result<std::vector<Trial>> TuningClient::AskBatch(const std::string& name,
-                                                  int n) {
-  RetryState state;
-  bool maybe_orphaned = false;
-  for (;;) {
-    Status conn = EnsureConnected();
-    Status failure;
-    if (!conn.ok()) {
-      if (conn.code() != StatusCode::kUnavailable) return conn;
-      failure = conn;
-    } else if (maybe_orphaned) {
-      Result<Frame> reply = CallOnce(MessageKind::kGetPending,
-                                     EncodeNameOnly(name),
-                                     MessageKind::kPendingReply);
-      if (reply.ok()) {
+        failure = reply.status();
+        maybe_orphaned = true;
+      } else if (!maybe_orphaned) {
+        std::vector<Trial> trials;
+        if (single) {
+          Result<Trial> trial = DecodeTrialReply(reply->payload);
+          if (!trial.ok()) return trial.status();
+          trials.push_back(std::move(trial).ValueOrDie());
+        } else {
+          Result<std::vector<Trial>> batch = DecodeTrialsReply(reply->payload);
+          if (!batch.ok()) return batch.status();
+          trials = std::move(batch).ValueOrDie();
+        }
+        int64_t& watermark = last_seen_trial_[name];
+        for (const Trial& trial : trials) {
+          watermark = std::max(watermark, trial.id);
+        }
+        return trials;
+      } else {
         int64_t next = 0;
         std::vector<Trial> pending;
         Status parse = DecodePendingReply(reply->payload, &next, &pending);
         if (!parse.ok()) return parse;
-        int64_t watermark = last_seen_trial_[name];
+        int64_t& watermark = last_seen_trial_[name];
         std::vector<Trial> orphans;
         for (const Trial& trial : pending) {
           if (trial.id > watermark) orphans.push_back(trial);
         }
         std::sort(orphans.begin(), orphans.end(),
                   [](const Trial& a, const Trial& b) { return a.id < b.id; });
-        // A committed batch leaves exactly the asked trials orphaned
-        // (this client is the only asker); adopt them wholesale. The
-        // server may legitimately hand out fewer than n at the budget
-        // boundary, so any non-empty orphan set is the lost batch.
+        // A lost single ask adopts the oldest orphan. A lost batch
+        // leaves exactly the asked trials orphaned (this client is the
+        // only asker), so it adopts them wholesale; the server may
+        // legitimately hand out fewer than n at the budget boundary, so
+        // any 1..n orphans are the lost batch.
+        if (single && orphans.size() > 1) orphans.resize(1);
         if (!orphans.empty() &&
             orphans.size() <= static_cast<size_t>(std::max(n, 1))) {
-          last_seen_trial_[name] = orphans.back().id;
+          watermark = orphans.back().id;
           return orphans;
         }
+        // Nothing orphaned: the lost attempt never committed, so a
+        // fresh ask is the *same* deterministic draw, not a skip.
         maybe_orphaned = false;
         continue;
       }
-      if (reply.status().code() != StatusCode::kUnavailable) {
-        return reply.status();
-      }
-      failure = reply.status();
-    } else {
-      Result<Frame> reply = CallOnce(MessageKind::kAskBatch,
-                                     EncodeAskBatch(name, n),
-                                     MessageKind::kTrialsReply);
-      if (reply.ok()) {
-        Result<std::vector<Trial>> trials = DecodeTrialsReply(reply->payload);
-        if (trials.ok() && !trials->empty()) {
-          int64_t& watermark = last_seen_trial_[name];
-          for (const Trial& trial : *trials) {
-            watermark = std::max(watermark, trial.id);
-          }
-        }
-        return trials;
-      }
-      if (reply.status().code() != StatusCode::kUnavailable) {
-        return reply.status();
-      }
-      failure = reply.status();
-      maybe_orphaned = true;
     }
     if (!BackoffAndRetry(&state)) return failure;
   }
 }
 
+Result<Trial> TuningClient::Ask(const std::string& name) {
+  Result<std::vector<Trial>> trials = AskRound(name, 1, /*single=*/true);
+  if (!trials.ok()) return trials.status();
+  return std::move(std::move(trials).ValueOrDie().front());
+}
+
+Result<std::vector<Trial>> TuningClient::AskBatch(const std::string& name,
+                                                  int n) {
+  return AskRound(name, n, /*single=*/false);
+}
+
 Status TuningClient::Tell(const std::string& name, const TrialResult& result) {
-  bool retried = false;
-  Status status = Call(MessageKind::kTell, EncodeTell(name, result),
-                       MessageKind::kOk, &retried)
-                      .status();
   // AlreadyExists on a retried tell means the lost first attempt
   // committed — the result is in, which is what the caller asked for.
-  if (retried && status.code() == StatusCode::kAlreadyExists) {
-    return Status::OK();
-  }
-  return status;
+  return CallDeduped(MessageKind::kTell, EncodeTell(name, result),
+                     StatusCode::kAlreadyExists);
 }
 
 Status TuningClient::TellBatch(const std::string& name,

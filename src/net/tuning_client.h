@@ -70,9 +70,10 @@ struct TuningClientOptions {
 ///  * a retried Tell whose first attempt actually committed is
 ///    answered AlreadyExists by the server and deduplicated back to
 ///    OK here (same for TellBatch, per result);
-///  * a retried Ask first checks GetPending and *adopts* the trial
-///    the lost reply carried instead of drawing a fresh suggestion,
-///    so the optimizer's deterministic sequence is not perturbed;
+///  * a retried Ask/AskBatch first checks GetPending and *adopts* the
+///    trials the lost reply carried instead of drawing fresh
+///    suggestions, so the optimizer's deterministic sequence is not
+///    perturbed;
 ///  * a retried CreateSession/Resume/ResumeSaved treats
 ///    SessionAlreadyExists as success.
 ///
@@ -184,6 +185,17 @@ class TuningClient {
   /// forgive AlreadyExists when a lost reply makes it ambiguous.
   Result<Frame> Call(MessageKind kind, const std::string& payload,
                      MessageKind expected, bool* retried = nullptr);
+  /// Call expecting kOk, for requests the server answers with
+  /// `committed` when a lost reply's first attempt already took effect:
+  /// that code on a retried call reads as OK.
+  Status CallDeduped(MessageKind kind, const std::string& payload,
+                     StatusCode committed);
+  /// The one ask retry loop behind Ask (`single`: kAsk) and AskBatch
+  /// (kAskBatch of n). After a failure that may have committed, it
+  /// adopts orphans above the watermark instead of drawing again: the
+  /// oldest one for a single ask, all of them (when 1..n) for a batch.
+  Result<std::vector<Trial>> AskRound(const std::string& name, int n,
+                                      bool single);
   Status WriteAll(const std::string& bytes, int64_t deadline_ms);
 
   TuningClientOptions options_;

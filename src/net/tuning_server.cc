@@ -18,8 +18,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/clock.h"
 #include "src/common/fault_injection.h"
 #include "src/common/file_io.h"
+#include "src/common/rng.h"
 #include "src/common/serde.h"
 #include "src/common/thread_pool.h"
 #include "src/dbsim/workloads.h"
@@ -82,15 +84,6 @@ bool IsExpensiveKind(MessageKind kind) {
     default:
       return false;
   }
-}
-
-/// splitmix64 finalizer — the same cheap deterministic mixer the
-/// resilient client uses for its decorrelated jitter.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
 }
 
 /// The autosave header line is EncodeSessionSpec(spec) followed by a
@@ -197,7 +190,7 @@ void TuningServer::Drain() {
     return;  // already draining or stopped
   }
   drain_deadline_unix_ms_.store(
-      service::NowUnixMillis() +
+      NowUnixMillis() +
       std::max<int64_t>(options_.drain_deadline_ms, 0));
   char byte = 'd';
   ssize_t ignored = ::write(wake_pipe_[1], &byte, 1);
@@ -257,14 +250,14 @@ void TuningServer::EventLoop() {
           ? std::max<int64_t>(options_.idle_eviction_ms / 4, 10)
           : 0;
   int64_t next_autosave = autosave_period > 0
-                              ? service::NowUnixMillis() + autosave_period
+                              ? NowUnixMillis() + autosave_period
                               : INT64_MAX;
   int64_t next_evict =
-      evict_period > 0 ? service::NowUnixMillis() + evict_period : INT64_MAX;
+      evict_period > 0 ? NowUnixMillis() + evict_period : INT64_MAX;
   // Pending-trial deadlines are swept on a fixed cadence; the sweep
   // skips, without locking, every session that configured no deadline.
   const int64_t expire_period = 200;
-  int64_t next_expire = service::NowUnixMillis() + expire_period;
+  int64_t next_expire = NowUnixMillis() + expire_period;
 
   std::vector<pollfd> fds;
   while (!hard_stop_.load()) {
@@ -279,7 +272,7 @@ void TuningServer::EventLoop() {
       // Drain complete: every admitted request answered and every
       // background drive finished — or the deadline says stop waiting.
       if ((pending_requests_.load() == 0 && ActiveTasks() == 0) ||
-          service::NowUnixMillis() >= drain_deadline_unix_ms_.load()) {
+          NowUnixMillis() >= drain_deadline_unix_ms_.load()) {
         break;
       }
     }
@@ -296,7 +289,7 @@ void TuningServer::EventLoop() {
       fds.push_back({fd, POLLIN, 0});
     }
 
-    int64_t now = service::NowUnixMillis();
+    int64_t now = NowUnixMillis();
     int64_t next_timer =
         std::min(std::min(next_autosave, next_evict), next_expire);
     int timeout_ms = std::max(options_.poll_timeout_ms, 0);
@@ -315,7 +308,7 @@ void TuningServer::EventLoop() {
       break;
     }
 
-    now = service::NowUnixMillis();
+    now = NowUnixMillis();
     if (now >= next_autosave) {
       MutexLock lock(maintenance_mu_);
       AutosaveSweep();
@@ -399,7 +392,7 @@ void TuningServer::HandleReadable(const ConnPtr& conn) {
 
 void TuningServer::AdmitFrame(const ConnPtr& conn, Frame frame) {
   const bool expensive = IsExpensiveKind(frame.kind);
-  const int64_t now = service::NowUnixMillis();
+  const int64_t now = NowUnixMillis();
 
   if (expensive && draining()) {
     WriteFrame(conn, MessageKind::kError,
@@ -491,7 +484,7 @@ void TuningServer::Dispatch(const ConnPtr& conn) {
 
 void TuningServer::RunHandler(const ConnPtr& conn, PendingRequest request) {
   std::string reply;
-  const int64_t now = service::NowUnixMillis();
+  const int64_t now = NowUnixMillis();
   if (hard_stop_.load()) {
     // Forced teardown after the drain deadline: answer, don't work.
     reply = EncodeFrame(MessageKind::kError,
@@ -1003,7 +996,7 @@ void TuningServer::AutosaveSweep() {
 
 void TuningServer::EvictionSweep() {
   if (options_.idle_eviction_ms <= 0) return;
-  int64_t now = service::NowUnixMillis();
+  int64_t now = NowUnixMillis();
   for (const service::SessionStatus& status : service_.ListSessions()) {
     MetaPtr meta = MetaFor(status.name);
     // The server only evicts sessions it created over the wire.
@@ -1045,7 +1038,7 @@ bool TuningServer::ForgetMeta(const std::string& name) {
 
 void TuningServer::RunMaintenance() {
   MutexLock lock(maintenance_mu_);
-  service_.ExpireOverdue(service::NowUnixMillis());
+  service_.ExpireOverdue(NowUnixMillis());
   AutosaveSweep();
   EvictionSweep();
 }

@@ -1,6 +1,5 @@
 #include "src/service/tuning_service.h"
 
-#include <chrono>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -11,12 +10,6 @@ namespace llamatune {
 namespace service {
 
 using harness::Tuner;
-
-int64_t NowUnixMillis() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::system_clock::now().time_since_epoch())
-      .count();
-}
 
 namespace {
 

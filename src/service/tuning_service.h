@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/clock.h"
 #include "src/common/status.h"
 #include "src/common/sync.h"
 #include "src/core/early_stopping.h"
@@ -77,10 +78,6 @@ struct SessionStatus {
   /// dead session alive forever.
   int64_t last_activity_unix_ms = 0;
 };
-
-/// Wall-clock milliseconds since the Unix epoch (the timebase of the
-/// SessionStatus timestamps).
-int64_t NowUnixMillis();
 
 /// \brief The serve-style entry point: a registry of named, concurrent
 /// tuning sessions driven over the ask/tell protocol (ROADMAP

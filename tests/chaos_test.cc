@@ -151,6 +151,137 @@ TEST_F(ChaosTest, DroppedAskReplyIsAdoptedNotRedrawn) {
   EXPECT_EQ(chaotic, baseline);
 }
 
+/// RunChaosSession through AskBatch/TellBatch. After the baseline it
+/// keeps two batches of three outstanding (ask A, ask B, tell A, tell
+/// B), so a lost B reply leaves orphans above trials the client still
+/// holds, and the last batch is clamped to the one trial left in the
+/// budget. `fired` receives how many transport faults fired.
+std::string RunBatchChaosSession(const std::string& fault_spec,
+                                 uint64_t* fired) {
+  FaultInjection::Reset();
+  TuningServer server;
+  EXPECT_TRUE(server.Start().ok());
+  TuningClient client(ResilientOptions());
+  EXPECT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  if (!fault_spec.empty()) {
+    EXPECT_TRUE(FaultInjection::Configure(fault_spec));
+  }
+  EXPECT_TRUE(client.CreateSession("chaos", ChaosWireSpec()).ok());
+  auto tell = [&client](const std::vector<Trial>& trials) {
+    std::vector<TrialResult> results;
+    for (const Trial& trial : trials) {
+      TrialResult result;
+      result.trial_id = trial.id;
+      result.value = ExternalMeasure(trial.config);
+      results.push_back(result);
+    }
+    EXPECT_TRUE(client.TellBatch("chaos", results).ok());
+  };
+  Result<std::vector<Trial>> baseline = client.AskBatch("chaos", 3);
+  EXPECT_TRUE(baseline.ok());
+  if (baseline.ok()) tell(*baseline);
+  for (;;) {
+    Result<std::vector<Trial>> first = client.AskBatch("chaos", 3);
+    if (!first.ok()) break;
+    Result<std::vector<Trial>> second = client.AskBatch("chaos", 3);
+    tell(*first);
+    if (!second.ok()) break;
+    tell(*second);
+  }
+  *fired = FaultInjection::FireCount("server.send.reset") +
+           FaultInjection::FireCount("client.send.reset");
+  FaultInjection::Reset();
+  Result<std::string> checkpoint = client.Checkpoint("chaos");
+  EXPECT_TRUE(checkpoint.ok());
+  std::string trajectory = checkpoint.ok() ? Trajectory(*checkpoint) : "";
+  server.Stop();
+  return trajectory;
+}
+
+TEST_F(ChaosTest, DroppedAskBatchReplyIsAdoptedNotRedrawn) {
+  uint64_t fired = 0;
+  const std::string baseline = RunBatchChaosSession("", &fired);
+  ASSERT_FALSE(baseline.empty());
+
+  // Server reply hits: CreateSession = 0, baseline AskBatch = 1, its
+  // TellBatch = 2, then ask A = 3, ask B = 4. Losing B's reply leaves
+  // its three trials pending above A's, which the client still holds:
+  // only the watermark tells them apart, and all three must be adopted.
+  EXPECT_EQ(RunBatchChaosSession("server.send.reset=@4", &fired), baseline);
+  EXPECT_EQ(fired, 1u);
+  // Hit 8 is the last ask, clamped to the one trial left in the
+  // budget: one orphan of an n = 3 request is still the lost batch.
+  EXPECT_EQ(RunBatchChaosSession("server.send.reset=@8", &fired), baseline);
+  EXPECT_EQ(fired, 1u);
+}
+
+TEST_F(ChaosTest, AskBatchThatNeverLeftIsAskedAgain) {
+  uint64_t fired = 0;
+  const std::string baseline = RunBatchChaosSession("", &fired);
+
+  // Client send hits count like the server's replies: ask B = 4 resets
+  // before the request leaves. The retry's GetPending finds only A's
+  // trials, all at or below the watermark, so nothing is adopted and
+  // the re-sent ask makes the same draw the lost one would have.
+  EXPECT_EQ(RunBatchChaosSession("client.send.reset=@4", &fired), baseline);
+  EXPECT_EQ(fired, 1u);
+}
+
+TEST_F(ChaosTest, DroppedResumeReplyIsDeduplicated) {
+  const std::string baseline = RunChaosSession("");
+  ASSERT_FALSE(baseline.empty());
+
+  // A wire checkpoint taken after the baseline and three iterations
+  // is resumed on a fresh server whose first reply (the Resume's) is
+  // lost: the resume committed, so the retry answers
+  // SessionAlreadyExists, which reads as OK. The session then finishes
+  // on the second server exactly as the uninterrupted one did.
+  std::string checkpoint;
+  {
+    TuningServer source;
+    ASSERT_TRUE(source.Start().ok());
+    TuningClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", source.port()).ok());
+    ASSERT_TRUE(client.CreateSession("chaos", ChaosWireSpec()).ok());
+    for (int round = 0; round < 4; ++round) {
+      Result<Trial> trial = client.Ask("chaos");
+      ASSERT_TRUE(trial.ok());
+      TrialResult result;
+      result.trial_id = trial->id;
+      result.value = ExternalMeasure(trial->config);
+      ASSERT_TRUE(client.Tell("chaos", result).ok());
+    }
+    Result<std::string> saved = client.Checkpoint("chaos");
+    ASSERT_TRUE(saved.ok());
+    checkpoint = *saved;
+    source.Stop();
+  }
+  TuningServer server;
+  ASSERT_TRUE(server.Start().ok());
+  TuningClient client(ResilientOptions());
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(FaultInjection::Configure("server.send.reset=@0"));
+  Status resumed = client.Resume("chaos", ChaosWireSpec(), checkpoint);
+  EXPECT_TRUE(resumed.ok()) << resumed.ToString();
+  EXPECT_EQ(FaultInjection::FireCount("server.send.reset"), 1u);
+  FaultInjection::Reset();
+  // The resumed session is live, and a plain Resume of it conflicts.
+  EXPECT_EQ(client.Resume("chaos", ChaosWireSpec(), checkpoint).code(),
+            StatusCode::kSessionAlreadyExists);
+  for (;;) {
+    Result<Trial> trial = client.Ask("chaos");
+    if (!trial.ok()) break;
+    TrialResult result;
+    result.trial_id = trial->id;
+    result.value = ExternalMeasure(trial->config);
+    ASSERT_TRUE(client.Tell("chaos", result).ok());
+  }
+  Result<std::string> finished = client.Checkpoint("chaos");
+  ASSERT_TRUE(finished.ok());
+  EXPECT_EQ(Trajectory(*finished), baseline);
+  server.Stop();
+}
+
 /// Drives a workload-backed session via wire Step calls to completion
 /// and returns its normalized history.
 std::string RunWorkloadSession(const std::string& fault_spec) {

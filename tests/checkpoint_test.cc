@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "src/common/file_io.h"
+#include "src/common/serde.h"
 #include "src/core/adapter_registry.h"
 #include "src/core/tuning_session.h"
 #include "src/dbsim/simulated_postgres.h"
@@ -186,6 +187,22 @@ TEST(CheckpointTest, BaselineOnlyCheckpointRestores) {
   Stack reference = MakeStack("random", "identity", 7, options);
   SessionResult uninterrupted = reference.session->Run();
   EXPECT_TRUE(ResultsBitIdentical(uninterrupted, via_resume));
+}
+
+// num_iterations = 0 is legal for a directly built session: Run
+// measures the baseline and stops, with nothing left to hand out.
+TEST(CheckpointTest, BaselineOnlySessionRunsTheBaselineAndStops) {
+  SessionOptions options;
+  options.num_iterations = 0;
+  Stack stack = MakeStack("random", "identity", 7, options);
+  SessionResult result = stack.session->Run();
+  EXPECT_EQ(result.iterations_run, 0);
+  EXPECT_EQ(result.kb.size(), 0);
+  EXPECT_GT(result.default_performance, 0.0);
+  EXPECT_TRUE(stack.session->finished());
+  EXPECT_FALSE(stack.session->Step());
+  EXPECT_EQ(stack.session->Ask().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(stack.session->pending_trials(), 0);
 }
 
 TEST(CheckpointTest, FreshSessionCheckpointIsEmptyButValid) {
@@ -426,6 +443,62 @@ TEST(RacingCheckpointTest, RungRoundsRequireV3) {
   Status refused = fresh.session->Restore(v2);
   EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
       << refused.ToString();
+}
+
+// Replay re-opens every round the way it was opened: a restored
+// session saves the same bytes, so single rounds stay single ('S',
+// Suggest) and batch rounds stay batches ('B', SuggestBatch).
+TEST(CheckpointTest, RestoredSessionSavesIdenticalBytes) {
+  SessionOptions options;
+  options.num_iterations = 8;
+  Stack first = MakeStack("random", "llamatune", 17, options);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(first.session->Step());
+  Result<std::vector<Trial>> batch = first.session->AskBatch(2);
+  ASSERT_TRUE(batch.ok());
+  ASSERT_EQ(batch->size(), 2u);
+  Result<Trial> single = first.session->Ask();
+  ASSERT_TRUE(single.ok());
+  std::vector<Trial> asked = *batch;
+  asked.push_back(*single);
+  for (const Trial& trial : asked) {
+    TrialResult result;
+    result.trial_id = trial.id;
+    result.value = 500.0 + static_cast<double>(trial.id);
+    ASSERT_TRUE(first.session->Tell(result).ok());
+  }
+  std::string saved = first.session->Save();
+  ASSERT_NE(saved.find("\nround S "), std::string::npos);
+  ASSERT_NE(saved.find("\nround B 2 "), std::string::npos);
+
+  Stack resumed = MakeStack("random", "llamatune", 17, options);
+  Status restored = resumed.session->Restore(saved);
+  ASSERT_TRUE(restored.ok()) << restored.ToString();
+  EXPECT_EQ(resumed.session->Save(), saved);
+}
+
+// A rung slot whose recorded fidelity differs from the one the replayed
+// race assigns is a diverged replay, not a value to overwrite.
+TEST(RacingCheckpointTest, RestoreRejectsADivergedRungFidelity) {
+  SessionOptions options;
+  options.num_iterations = 2;
+  options.racing = CkptRacing();
+  Stack first = MakeStack("random", "llamatune", 5, options);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(first.session->Step());
+  std::string checkpoint = first.session->Save();
+
+  // "rung <outcome> <value> <fidelity> <metrics...>": rung 0 of three
+  // runs at 0.25; record 0.5 instead.
+  const std::string old_fidelity = " " + EncodeDoubleBits(0.25) + " ";
+  size_t line = checkpoint.find("\nrung ");
+  ASSERT_NE(line, std::string::npos);
+  size_t pos = checkpoint.find(old_fidelity, line);
+  ASSERT_LT(pos, checkpoint.find('\n', line + 1));
+  checkpoint.replace(pos, old_fidelity.size(),
+                     " " + EncodeDoubleBits(0.5) + " ");
+
+  Stack resumed = MakeStack("random", "llamatune", 5, options);
+  Status restored = resumed.session->Restore(checkpoint);
+  EXPECT_EQ(restored.code(), StatusCode::kInternal) << restored.ToString();
 }
 
 TEST(RacingCheckpointTest, RestoreRejectsMismatchedRacingOptions) {

@@ -154,6 +154,13 @@ TEST(HashTest, StableAndOrderSensitive) {
 
 // ------------------------------------------------------------- math_util
 
+TEST(HashTest, Mix64IsTheSplitmix64Finalizer) {
+  // Fault schedules and retry jitter draw from Mix64, so its bits are
+  // pinned: splitmix64's first outputs for states 0 and 1.
+  EXPECT_EQ(Mix64(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(Mix64(1), 0x910a2dec89025cc1ULL);
+}
+
 TEST(MathTest, ClampAndRescale) {
   EXPECT_EQ(Clamp(5.0, 0.0, 1.0), 1.0);
   EXPECT_EQ(Clamp(-5.0, 0.0, 1.0), 0.0);

@@ -469,6 +469,53 @@ TEST(RacingDeterminismTest, DegenerateRaceReducesToNonRacingSession) {
   EXPECT_TRUE(SameBits(racing_result.simulated_work, 7.0));
 }
 
+TEST(RacingDeterminismTest, AskBatchHandsOutARungInParts) {
+  SessionOptions options;
+  options.num_iterations = 2;
+  options.racing = SmallRacing();
+  // Two identical detached sessions: one takes rung 0 whole, the other
+  // in parts of three.
+  Stack whole = MakeRacingStack(/*seed=*/42, options, /*detached=*/true);
+  Stack parts = MakeRacingStack(/*seed=*/42, options, /*detached=*/true);
+  for (Stack* stack : {&whole, &parts}) {
+    Result<Trial> baseline = stack->session->Ask();
+    ASSERT_TRUE(baseline.ok());
+    TrialResult result;
+    result.trial_id = baseline->id;
+    result.value = 1000.0;
+    ASSERT_TRUE(stack->session->Tell(result).ok());
+  }
+  Result<std::vector<Trial>> rung = whole.session->AskBatch(64);
+  ASSERT_TRUE(rung.ok());
+  ASSERT_EQ(rung->size(), 4u);
+
+  TuningSession& session = *parts.session;
+  Result<std::vector<Trial>> head = session.AskBatch(3);
+  ASSERT_TRUE(head.ok());
+  ASSERT_EQ(head->size(), 3u);
+  Result<std::vector<Trial>> tail = session.AskBatch(3);
+  ASSERT_TRUE(tail.ok());
+  ASSERT_EQ(tail->size(), 1u);
+  // The whole rung is created when the race starts, so every slot is
+  // pending before the first part is even handed out.
+  EXPECT_EQ(session.pending_trials(), 4);
+
+  std::vector<Trial> handed = *head;
+  handed.push_back(tail->front());
+  for (size_t i = 0; i < handed.size(); ++i) {
+    EXPECT_EQ(handed[i].id, (*rung)[i].id);
+    EXPECT_EQ(handed[i].point, (*rung)[i].point);
+    EXPECT_EQ(handed[i].fidelity, 0.25);
+  }
+
+  // The rung is fully handed out: neither ask path draws a new race.
+  Result<std::vector<Trial>> more = session.AskBatch(1);
+  EXPECT_EQ(more.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session.Ask().status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(session.pending_trials(), 4);
+  EXPECT_EQ(session.next_trial_id(), handed.back().id + 1);
+}
+
 TEST(RacingDeterminismTest, RungTrialsAreExemptFromExpiry) {
   SessionOptions options;
   options.num_iterations = 2;

@@ -269,7 +269,7 @@ TEST_F(ServiceFixture, ErrorsSurfaceAsStatuses) {
 
 TEST_F(ServiceFixture, StatusCarriesTimestampsAndActivity) {
   TuningService service;
-  int64_t before = service::NowUnixMillis();
+  int64_t before = NowUnixMillis();
   ASSERT_TRUE(service.CreateSession("job", ExternalSpec(0)).ok());
 
   Result<SessionStatus> created = service.GetStatus("job");
@@ -494,6 +494,92 @@ TEST_F(WalReplayTest, ReplayStopsAtAGap) {
   const std::vector<std::string> gapped = {records_[0], records_[1],
                                            records_[4], records_[7]};
   EXPECT_EQ(Replay(start_, gapped), states_[2]);
+}
+
+// A racing session's WAL holds askb records: the baseline's, a rung
+// handed out in two parts, the next rung and the next race. Every
+// prefix recovers to the state after that many operations.
+TEST(RacingWalReplayTest, AskBatchRecordsReplayThroughRecover) {
+  const std::string dir = FreshWalDir();
+  auto spec = [&dir](const std::string& name) {
+    SessionSpec spec = WalWorkloadSpec(dir + "/" + name + ".wal");
+    spec.pending_deadline_ms = 0;
+    spec.num_iterations = 2;
+    RacingOptions racing;
+    racing.cohort = 4;
+    racing.rungs = 2;
+    racing.min_fidelity = 0.5;
+    spec.racing = racing;
+    return spec;
+  };
+  TuningService service;
+  ASSERT_TRUE(service.CreateSession("race", spec("race")).ok());
+  Result<std::string> start = service.Checkpoint("race");
+  ASSERT_TRUE(start.ok());
+  std::vector<std::string> states = {SessionState(service, "race")};
+
+  std::vector<Trial> held;
+  auto ask = [&](int n, size_t expect) {
+    Result<std::vector<Trial>> trials = service.AskBatch("race", n);
+    if (!trials.ok()) return trials.status();
+    if (trials->size() != expect) return Status::Internal("wrong part size");
+    held.insert(held.end(), trials->begin(), trials->end());
+    return Status::OK();
+  };
+  auto tell_held = [&] {
+    std::vector<TrialResult> results;
+    for (const Trial& trial : held) {
+      TrialResult result;
+      result.trial_id = trial.id;
+      result.value = 100.0 + trial.config[0] + trial.id;
+      results.push_back(result);
+    }
+    held.clear();
+    return service.TellBatch("race", results);
+  };
+  const std::vector<std::function<Status()>> ops = {
+      [&] { return ask(4, 1); },  // the baseline alone
+      tell_held,
+      [&] { return ask(3, 3); },  // race 1, rung 0: three of four slots
+      [&] { return ask(3, 1); },  // ... and the last one
+      tell_held,                  // opens rung 1 with the survivors
+      [&] { return ask(4, 2); },
+      tell_held,                  // commits race 1's champion
+      [&] { return ask(2, 2); },  // race 2, rung 0: half of it
+  };
+  // A TellBatch appends one record per result, so keep the log length
+  // after each operation.
+  std::vector<size_t> logged = {0};
+  for (const std::function<Status()>& op : ops) {
+    Status status = op();
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    states.push_back(SessionState(service, "race"));
+    Result<std::vector<std::string>> records =
+        TrialWal::ReadRecords(dir + "/race.wal");
+    ASSERT_TRUE(records.ok());
+    logged.push_back(records->size());
+  }
+  Result<std::vector<std::string>> records =
+      TrialWal::ReadRecords(dir + "/race.wal");
+  ASSERT_TRUE(records.ok());
+  int askb = 0;
+  for (const std::string& record : *records) {
+    askb += record.rfind("askb ", 0) == 0 ? 1 : 0;
+  }
+  EXPECT_EQ(askb, 5);
+
+  for (size_t k = 0; k < states.size(); ++k) {
+    SCOPED_TRACE("after " + std::to_string(k) + " operations");
+    const std::string name = "replay-" + std::to_string(k);
+    std::vector<std::string> prefix(records->begin(),
+                                    records->begin() + logged[k]);
+    ASSERT_TRUE(
+        AtomicWriteFile(dir + "/" + name + ".wal", JoinRecords(prefix)).ok());
+    TuningService recovered;
+    Status status = recovered.Recover(name, spec(name), *start);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(SessionState(recovered, name), states[k]);
+  }
 }
 
 }  // namespace
