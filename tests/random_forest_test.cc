@@ -163,5 +163,106 @@ TEST_P(RfVarianceProperty, NonNegativeVariance) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RfVarianceProperty, ::testing::Range(1, 7));
 
+// Golden pin of the forest's bits. Inputs come from a 64-bit LCG and
+// plain arithmetic (no libm), so the same bits hold under every
+// compiler and sanitizer build.
+class Lcg {
+ public:
+  explicit Lcg(uint64_t seed) : state_(seed) {}
+  uint64_t Next() {
+    state_ = state_ * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state_ >> 11;
+  }
+  double Unit() { return static_cast<double>(Next()) * 0x1.0p-53; }
+  double Below(uint64_t k) { return static_cast<double>(Next() % k); }
+
+ private:
+  uint64_t state_;
+};
+
+// Categorical, continuous, bucketed, constant, binary categorical and
+// gridded (many ties) columns.
+SearchSpace MixedSpace() {
+  return SearchSpace({SearchDim::Categorical(4),
+                      SearchDim::Continuous(0.0, 1.0),
+                      SearchDim::Continuous(0.0, 10.0, 5),
+                      SearchDim::Continuous(-1.0, 1.0),
+                      SearchDim::Categorical(2),
+                      SearchDim::Continuous(0.0, 1.0)});
+}
+
+std::vector<double> MixedPoint(Lcg* lcg) {
+  return {lcg->Below(4), lcg->Unit(), 2.5 * lcg->Below(5), 0.25,
+          lcg->Below(2), lcg->Below(9) / 8.0};
+}
+
+// Hash of Predict's mean and variance at 100 probes, after fitting n
+// points of the mixed space.
+uint64_t MixedForestHash(int n, bool bootstrap, int min_samples_leaf,
+                         uint64_t seed) {
+  Lcg lcg(seed);
+  std::vector<std::vector<double>> xs;
+  std::vector<double> ys;
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> x = MixedPoint(&lcg);
+    double y = 3.0 * x[1] - 2.0 * x[1] * x[1] + (x[0] == 2.0 ? 1.5 : 0.0) +
+               0.3 * x[2] + x[4] * x[5] + 0.1 * lcg.Unit();
+    // Every fifth target repeats a coarse value, so scores tie.
+    if (i % 5 == 0) y = lcg.Below(3);
+    xs.push_back(std::move(x));
+    ys.push_back(y);
+  }
+  RandomForestOptions options;
+  options.bootstrap = bootstrap;
+  options.min_samples_leaf = min_samples_leaf;
+  RandomForest rf(MixedSpace(), options, seed);
+  rf.Fit(xs, ys);
+  std::vector<double> out;
+  for (int p = 0; p < 100; ++p) {
+    std::vector<double> probe = p % 4 == 0 ? xs[p % n] : MixedPoint(&lcg);
+    double mean = 0.0, variance = 0.0;
+    rf.Predict(probe, &mean, &variance);
+    out.push_back(mean);
+    out.push_back(variance);
+  }
+  return HashDoubles(out);
+}
+
+TEST(RandomForestGoldenTest, MixedSpacePredictionsArePinned) {
+  struct Case {
+    int n;
+    bool bootstrap;
+    int min_samples_leaf;
+    uint64_t hash;
+  };
+  const Case kCases[] = {
+      {3, true, 1, 0xdb3417a276dc0bb2ULL},
+      {3, true, 2, 0x83533decc429ac79ULL},
+      {3, false, 1, 0xdac3071b0ef8fb5ULL},
+      {3, false, 2, 0xd2b4fb0c545d7aULL},
+      {7, true, 1, 0x54b14dd9a9ce8734ULL},
+      {7, true, 2, 0x5c4caa12e8b43d77ULL},
+      {7, false, 1, 0x5fbfbba0c3566f2dULL},
+      {7, false, 2, 0xbc7313d02d1da996ULL},
+      {40, true, 1, 0x9e1f4b351ca463f8ULL},
+      {40, true, 2, 0x978736494e4f6a11ULL},
+      {40, false, 1, 0x64d3e90dcaef6a2bULL},
+      {40, false, 2, 0x667c57aaaa568839ULL},
+      {150, true, 1, 0x371f9670b36dbf6cULL},
+      {150, true, 2, 0x7b1aaa166fe5eb25ULL},
+      {150, false, 1, 0x5983a98d3a5f576bULL},
+      {150, false, 2, 0x9ab905a9d3ff55f1ULL},
+  };
+  uint64_t seed = 1;
+  for (const Case& c : kCases) {
+    uint64_t hash =
+        MixedForestHash(c.n, c.bootstrap, c.min_samples_leaf, seed++);
+    EXPECT_EQ(hash, c.hash)
+        << "n=" << c.n << " bootstrap=" << c.bootstrap
+        << " min_samples_leaf=" << c.min_samples_leaf << " hash=0x"
+        << std::hex << hash;
+  }
+}
+
 }  // namespace
 }  // namespace llamatune
