@@ -15,6 +15,10 @@
 //   batch.batch{1,8}_seconds             batch-1 vs batch-8 session over
 //                                        a clonable spin objective
 //                                        (speedup tracks min(cores, q))
+//   rf_fit_seconds[n=N]                  one RandomForest::Fit of SMAC's
+//                                        surrogate (d = 16, 10 trees)
+//   rf_score600_seconds[n=N]             Predict on 600 candidates with
+//                                        that forest
 //
 // Usage: bm_hotpath [--max-n=N] (default 200; lower for smoke runs)
 
@@ -34,6 +38,7 @@
 #include "src/core/tuning_session.h"
 #include "src/model/acquisition.h"
 #include "src/model/gp.h"
+#include "src/model/random_forest.h"
 #include "src/optimizer/random_search.h"
 #include "src/optimizer/search_space.h"
 
@@ -194,6 +199,53 @@ BatchResult RunBatchSession(int batch_size, int spin_iters) {
   return out;
 }
 
+// ---------------------------------------------------------------------------
+// Part 3: SMAC's random-forest surrogate, fit and candidate scoring.
+// ---------------------------------------------------------------------------
+
+struct ForestTiming {
+  double fit_seconds = 0.0;    // median over repetitions
+  double score_seconds = 0.0;  // median over repetitions
+};
+
+// Times one Fit on n points and one Predict pass over 600 candidates,
+// in the 16-dimensional space SMAC searches after projection. Forests
+// are single-threaded, so this is one core's cost.
+ForestTiming TimeForest(int n) {
+  constexpr int kCandidates = 600;
+  constexpr int kReps = 30;
+  SearchSpace space(
+      std::vector<SearchDim>(16, SearchDim::Continuous(-1.0, 1.0)));
+  Rng rng(HashCombine(5150, static_cast<uint64_t>(n)));
+  std::vector<std::vector<double>> xs, candidates;
+  std::vector<double> ys;
+  for (int i = 0; i < n; ++i) {
+    xs.push_back(DrawPoint(space, &rng));
+    ys.push_back(SyntheticObjective(xs.back()));
+  }
+  for (int c = 0; c < kCandidates; ++c) {
+    candidates.push_back(DrawPoint(space, &rng));
+  }
+  RandomForest forest(space, RandomForestOptions{}, 1);
+  std::vector<double> fit_seconds, score_seconds;
+  for (int rep = 0; rep < kReps; ++rep) {
+    double t0 = NowSeconds();
+    forest.Fit(xs, ys);
+    double t1 = NowSeconds();
+    for (const auto& x : candidates) {
+      double mean = 0.0, variance = 0.0;
+      forest.Predict(x, &mean, &variance);
+    }
+    double t2 = NowSeconds();
+    fit_seconds.push_back(t1 - t0);
+    score_seconds.push_back(t2 - t1);
+  }
+  ForestTiming out;
+  out.fit_seconds = Percentile(fit_seconds, 50.0);
+  out.score_seconds = Percentile(score_seconds, 50.0);
+  return out;
+}
+
 }  // namespace
 }  // namespace llamatune
 
@@ -235,6 +287,12 @@ int main(int argc, char** argv) {
   bool deterministic = batch8.best == batch8_repeat.best;
   double batch_speedup = batch1.seconds / std::max(batch8.seconds, 1e-12);
 
+  std::printf("[hotpath] random forest fit + score...\n");
+  std::vector<std::pair<int, ForestTiming>> forest;
+  for (int n : {20, 50, 100}) {
+    if (n <= max_n) forest.emplace_back(n, TimeForest(n));
+  }
+
   bench::BenchJson json("hotpath");
   json.Config("candidates_per_iteration", 550);
   json.Config("batch_iterations", 48);
@@ -272,6 +330,12 @@ int main(int argc, char** argv) {
   json.Metric("batch.batch8_seconds", batch8.seconds, false);
   json.Info("batch.speedup", batch_speedup);
   json.Info("batch.deterministic_repeat", deterministic);
+  for (const auto& [n, timing] : forest) {
+    json.Metric(bench::Format("rf_fit_seconds[n=%d]", n), timing.fit_seconds,
+                false);
+    json.Metric(bench::Format("rf_score600_seconds[n=%d]", n),
+                timing.score_seconds, false);
+  }
   if (!json.Write()) return 1;
 
   for (size_t i = 0; i < fast_cp.size(); ++i) {
@@ -285,6 +349,10 @@ int main(int argc, char** argv) {
               "speedup %.2fx, deterministic=%s\n",
               ThreadPool::DefaultThreads(), batch1.seconds, batch8.seconds,
               batch_speedup, deterministic ? "true" : "false");
+  for (const auto& [n, timing] : forest) {
+    std::printf("[hotpath] forest n=%3d  fit %.3f ms  score600 %.3f ms\n", n,
+                timing.fit_seconds * 1e3, timing.score_seconds * 1e3);
+  }
   std::printf("[hotpath] wrote BENCH_hotpath.json\n");
   return 0;
 }

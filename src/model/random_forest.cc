@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-
-#include "src/common/math_util.h"
+#include <numeric>
 
 namespace llamatune {
 
@@ -47,28 +46,30 @@ struct RandomForest::Tree {
 
 namespace {
 
-double SubsetVarianceTimesN(const std::vector<double>& ys,
-                            const std::vector<int>& idx) {
-  if (idx.size() < 2) return 0.0;
-  double sum = 0.0, sum_sq = 0.0;
-  for (int i : idx) {
-    sum += ys[i];
-    sum_sq += ys[i] * ys[i];
-  }
-  double n = static_cast<double>(idx.size());
-  return sum_sq - sum * sum / n;
+// Four doubles side by side: the three thresholds of a feature are
+// scored together, one per lane (the fourth lane repeats the third).
+typedef double Lanes __attribute__((vector_size(4 * sizeof(double))));
+using LaneMask = decltype(Lanes{} <= Lanes{});
+
+// n times the population variance of a side, from its one-pass sums.
+// Both sums run in `idx` order, so this matches a two-pass formula
+// over the same subset bit for bit.
+double VarianceTimesN(double sum, double sum_sq, int count) {
+  if (count < 2) return 0.0;
+  return sum_sq - sum * sum / static_cast<double>(count);
 }
 
-void MakeLeaf(Node* node, const std::vector<double>& ys,
-              const std::vector<int>& idx) {
+void MakeLeaf(Node* node, const double* ys, int m) {
   node->is_leaf = true;
   double sum = 0.0;
-  for (int i : idx) sum += ys[i];
-  double n = static_cast<double>(idx.size());
-  node->mean = idx.empty() ? 0.0 : sum / n;
+  for (int k = 0; k < m; ++k) sum += ys[k];
+  double n = static_cast<double>(m);
+  node->mean = m == 0 ? 0.0 : sum / n;
   double acc = 0.0;
-  for (int i : idx) acc += (ys[i] - node->mean) * (ys[i] - node->mean);
-  node->variance = idx.size() < 2 ? 0.0 : acc / n;
+  for (int k = 0; k < m; ++k) {
+    acc += (ys[k] - node->mean) * (ys[k] - node->mean);
+  }
+  node->variance = m < 2 ? 0.0 : acc / n;
 }
 
 struct SplitChoice {
@@ -78,70 +79,136 @@ struct SplitChoice {
   double threshold = 0.0;
   double category = -1.0;
   double score = std::numeric_limits<double>::infinity();
-  std::vector<int> left_idx;
-  std::vector<int> right_idx;
 };
+
+// The samples of the node being split, in `idx` order: x holds the
+// feature under test, y the targets.
+struct NodeView {
+  const double* x;
+  const double* y;
+  int m;
+  int min_samples_leaf;
+};
+
+// Offers one candidate split, given its left count and per-side sums.
+void Offer(const NodeView& node, int feature, bool categorical,
+           double threshold, double category, int left_count,
+           double left_sum, double left_sq, double right_sum,
+           double right_sq, SplitChoice* best) {
+  int right_count = node.m - left_count;
+  if (left_count < node.min_samples_leaf ||
+      right_count < node.min_samples_leaf) {
+    return;
+  }
+  double score = VarianceTimesN(left_sum, left_sq, left_count) +
+                 VarianceTimesN(right_sum, right_sq, right_count);
+  if (score < best->score) {
+    best->valid = true;
+    best->feature = feature;
+    best->categorical = categorical;
+    best->threshold = threshold;
+    best->category = category;
+    best->score = score;
+  }
+}
+
+void OfferCategory(const NodeView& node, int feature, double category,
+                   SplitChoice* best) {
+  int left_count = 0;
+  double left_sum = 0.0, left_sq = 0.0, right_sum = 0.0, right_sq = 0.0;
+  for (int k = 0; k < node.m; ++k) {
+    double y = node.y[k];
+    if (node.x[k] == category) {
+      ++left_count;
+      left_sum += y;
+      left_sq += y * y;
+    } else {
+      right_sum += y;
+      right_sq += y * y;
+    }
+  }
+  Offer(node, feature, /*categorical=*/true, 0.0, category, left_count,
+        left_sum, left_sq, right_sum, right_sq, best);
+}
+
+// Scores three thresholds in one pass. A sample adds +0.0 to the side
+// it is not on; the sums start at +0.0 and so never hold -0.0, which
+// makes each lane's sums equal to summing its subset alone.
+void OfferThresholds(const NodeView& node, int feature,
+                     const double (&thresholds)[3], SplitChoice* best) {
+  const Lanes t = {thresholds[0], thresholds[1], thresholds[2],
+                   thresholds[2]};
+  Lanes left_sum = {}, left_sq = {}, right_sum = {}, right_sq = {};
+  LaneMask left_count = {};
+  for (int k = 0; k < node.m; ++k) {
+    const double x = node.x[k], y = node.y[k];
+    const Lanes xs = {x, x, x, x};
+    const Lanes ys = {y, y, y, y};
+    const LaneMask go_left = xs <= t;  // all ones where left
+    const Lanes left = (Lanes)((LaneMask)ys & go_left);
+    const Lanes right = (Lanes)((LaneMask)ys & ~go_left);
+    left_count -= go_left;
+    left_sum += left;
+    left_sq += left * left;
+    right_sum += right;
+    right_sq += right * right;
+  }
+  for (int j = 0; j < 3; ++j) {
+    Offer(node, feature, /*categorical=*/false, thresholds[j], -1.0,
+          static_cast<int>(left_count[j]), left_sum[j], left_sq[j],
+          right_sum[j], right_sq[j], best);
+  }
+}
 
 // Evaluates the best of a few random thresholds on one feature
 // (extra-trees style randomized split search: fast and a good
-// exploration/variance trade-off for surrogate forests).
+// exploration/variance trade-off for surrogate forests). `column` is
+// the feature's column of X; `x` receives the node's values of it.
 void TrySplitsOnFeature(const SearchSpace& space, int feature,
-                        const std::vector<std::vector<double>>& xs,
-                        const std::vector<double>& ys,
-                        const std::vector<int>& idx, int min_samples_leaf,
-                        Rng* rng, SplitChoice* best) {
-  const SearchDim& dim = space.dim(feature);
+                        const double* column, const int* idx, double* x,
+                        NodeView node, Rng* rng, SplitChoice* best) {
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
-  for (int i : idx) {
-    lo = std::min(lo, xs[i][feature]);
-    hi = std::max(hi, xs[i][feature]);
+  for (int k = 0; k < node.m; ++k) {
+    x[k] = column[idx[k]];
+    lo = std::min(lo, x[k]);
+    hi = std::max(hi, x[k]);
   }
   if (!(hi > lo)) return;  // constant feature in this node
+  node.x = x;
 
-  auto consider = [&](bool categorical, double threshold, double category) {
-    std::vector<int> left, right;
-    left.reserve(idx.size());
-    right.reserve(idx.size());
-    for (int i : idx) {
-      bool go_left = categorical ? xs[i][feature] == category
-                                 : xs[i][feature] <= threshold;
-      (go_left ? left : right).push_back(i);
-    }
-    if (static_cast<int>(left.size()) < min_samples_leaf ||
-        static_cast<int>(right.size()) < min_samples_leaf) {
-      return;
-    }
-    double score =
-        SubsetVarianceTimesN(ys, left) + SubsetVarianceTimesN(ys, right);
-    if (score < best->score) {
-      best->valid = true;
-      best->feature = feature;
-      best->categorical = categorical;
-      best->threshold = threshold;
-      best->category = category;
-      best->score = score;
-      best->left_idx = std::move(left);
-      best->right_idx = std::move(right);
-    }
-  };
-
-  if (dim.type == SearchDim::Type::kCategorical) {
+  if (space.dim(feature).type == SearchDim::Type::kCategorical) {
     // One-vs-rest split on a category present in this node.
-    int present = static_cast<int>(rng->UniformInt(0, idx.size() - 1));
-    double cat = xs[idx[present]][feature];
-    consider(/*categorical=*/true, 0.0, cat);
+    double cat = x[rng->UniformInt(0, node.m - 1)];
+    OfferCategory(node, feature, cat, best);
     // Also try one more random present category for better splits.
-    present = static_cast<int>(rng->UniformInt(0, idx.size() - 1));
-    double cat2 = xs[idx[present]][feature];
-    if (cat2 != cat) consider(true, 0.0, cat2);
+    double cat2 = x[rng->UniformInt(0, node.m - 1)];
+    if (cat2 != cat) OfferCategory(node, feature, cat2, best);
   } else {
-    static constexpr int kThresholdsPerFeature = 3;
-    for (int t = 0; t < kThresholdsPerFeature; ++t) {
-      double threshold = rng->Uniform(lo, hi);
-      consider(/*categorical=*/false, threshold, -1.0);
+    // Every threshold is drawn before scoring, which draws nothing.
+    double thresholds[3];
+    for (double& threshold : thresholds) threshold = rng->Uniform(lo, hi);
+    OfferThresholds(node, feature, thresholds, best);
+  }
+}
+
+// Stable in-place partition of idx[0, m) by the chosen split; returns
+// the left side's size. Both sides keep their `idx` order.
+int Partition(const SplitChoice& split, const double* column, int* idx,
+              int m, int* scratch) {
+  int left = 0, right = 0;
+  for (int k = 0; k < m; ++k) {
+    double x = column[idx[k]];
+    bool go_left = split.categorical ? x == split.category
+                                     : x <= split.threshold;
+    if (go_left) {
+      idx[left++] = idx[k];
+    } else {
+      scratch[right++] = idx[k];
     }
   }
+  std::copy(scratch, scratch + right, idx + left);
+  return left;
 }
 
 }  // namespace
@@ -159,63 +226,83 @@ void RandomForest::Fit(const std::vector<std::vector<double>>& xs,
   trees_.clear();
   int n = static_cast<int>(xs.size());
   int d = space_.num_dims();
-  int features_per_split = std::max(
-      1, static_cast<int>(std::ceil(options_.feature_fraction * d)));
+  int features_per_split = std::min(
+      d, std::max(1, static_cast<int>(
+                         std::ceil(options_.feature_fraction * d))));
+
+  // X feature-major: column f starts at column(f).
+  std::vector<double> columns(static_cast<size_t>(d) * n);
+  auto column = [&](int f) {
+    return columns.data() + static_cast<size_t>(f) * n;
+  };
+  for (int i = 0; i < n; ++i) {
+    for (int f = 0; f < d; ++f) column(f)[i] = xs[i][f];
+  }
+  // Each tree partitions one index buffer in place; a node owns the
+  // range [begin, end) of it.
+  std::vector<int> idx(n), scratch(n), features(d);
+  std::vector<double> node_x(n), node_y(n);
 
   for (int t = 0; t < options_.num_trees; ++t) {
     auto tree = std::make_unique<Tree>();
-    std::vector<int> root_idx;
-    root_idx.reserve(n);
     if (options_.bootstrap && n > 1) {
       for (int i = 0; i < n; ++i) {
-        root_idx.push_back(static_cast<int>(rng_.UniformInt(0, n - 1)));
+        idx[i] = static_cast<int>(rng_.UniformInt(0, n - 1));
       }
     } else {
-      for (int i = 0; i < n; ++i) root_idx.push_back(i);
+      std::iota(idx.begin(), idx.end(), 0);
     }
 
     // Iterative tree growth with an explicit work stack.
     struct Work {
       int node;
-      std::vector<int> idx;
+      int begin;
+      int end;
       int depth;
     };
     tree->nodes.emplace_back();
     std::vector<Work> stack;
-    stack.push_back({0, std::move(root_idx), 0});
+    stack.push_back({0, 0, n, 0});
     while (!stack.empty()) {
-      Work work = std::move(stack.back());
+      Work work = stack.back();
       stack.pop_back();
-      Node& node = tree->nodes[work.node];
+      int* node_idx = idx.data() + work.begin;
+      int m = work.end - work.begin;
+      for (int k = 0; k < m; ++k) node_y[k] = ys[node_idx[k]];
       bool can_split =
-          static_cast<int>(work.idx.size()) >= options_.min_samples_split &&
-          work.depth < options_.max_depth;
+          m >= options_.min_samples_split && work.depth < options_.max_depth;
       SplitChoice best;
       if (can_split) {
-        std::vector<int> features =
-            rng_.SampleWithoutReplacement(d, features_per_split);
-        for (int f : features) {
-          TrySplitsOnFeature(space_, f, xs, ys, work.idx,
-                             options_.min_samples_leaf, &rng_, &best);
+        // The draws of Rng::SampleWithoutReplacement, into a reused buffer.
+        std::iota(features.begin(), features.end(), 0);
+        std::shuffle(features.begin(), features.end(), rng_.engine());
+        NodeView view{nullptr, node_y.data(), m, options_.min_samples_leaf};
+        for (int j = 0; j < features_per_split; ++j) {
+          int f = features[j];
+          TrySplitsOnFeature(space_, f, column(f), node_idx, node_x.data(),
+                             view, &rng_, &best);
         }
       }
       if (!best.valid) {
-        MakeLeaf(&node, ys, work.idx);
+        MakeLeaf(&tree->nodes[work.node], node_y.data(), m);
         continue;
       }
+      Node& node = tree->nodes[work.node];
       node.is_leaf = false;
       node.feature = best.feature;
       node.categorical_split = best.categorical;
       node.threshold = best.threshold;
       node.category = best.category;
+      int mid = work.begin + Partition(best, column(best.feature), node_idx,
+                                       m, scratch.data());
       int left = static_cast<int>(tree->nodes.size());
       tree->nodes.emplace_back();
       tree->nodes.emplace_back();
       // Note: `node` reference may dangle after emplace_back; re-index.
       tree->nodes[work.node].left = left;
       tree->nodes[work.node].right = left + 1;
-      stack.push_back({left, std::move(best.left_idx), work.depth + 1});
-      stack.push_back({left + 1, std::move(best.right_idx), work.depth + 1});
+      stack.push_back({left, work.begin, mid, work.depth + 1});
+      stack.push_back({left + 1, mid, work.end, work.depth + 1});
     }
     trees_.push_back(std::move(tree));
   }
