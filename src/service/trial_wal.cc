@@ -50,9 +50,11 @@ Status TrialWal::Append(const std::string& record) {
   return Status::OK();
 }
 
-Status TrialWal::Truncate() {
+Status TrialWal::Truncate(size_t size) {
   if (fd_ < 0) return Status::FailedPrecondition("TrialWal: not open");
-  if (::ftruncate(fd_, 0) != 0) return Errno("ftruncate", path_);
+  if (::ftruncate(fd_, static_cast<off_t>(size)) != 0) {
+    return Errno("ftruncate", path_);
+  }
   if (::fsync(fd_) != 0) return Errno("fsync", path_);
   return Status::OK();
 }
@@ -65,7 +67,7 @@ void TrialWal::Close() {
 }
 
 Result<std::vector<std::string>> TrialWal::ReadRecords(
-    const std::string& path) {
+    const std::string& path, std::optional<size_t>* torn_at) {
   std::vector<std::string> records;
   Result<std::string> read = ReadFile(path);
   if (!read.ok()) return records;  // no log: nothing to replay
@@ -73,7 +75,10 @@ Result<std::vector<std::string>> TrialWal::ReadRecords(
   size_t pos = 0;
   while (pos < contents.size()) {
     size_t nl = contents.find('\n', pos);
-    if (nl == std::string::npos) break;  // torn tail: drop
+    if (nl == std::string::npos) {  // torn tail: drop
+      if (torn_at != nullptr) *torn_at = pos;
+      break;
+    }
     records.push_back(contents.substr(pos, nl - pos));
     pos = nl + 1;
   }

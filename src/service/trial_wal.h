@@ -1,5 +1,6 @@
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -22,7 +23,8 @@ namespace service {
 /// acknowledged is durable. Not thread-safe: the owner serializes
 /// calls (the service holds the session lock).
 /// ReadRecords tolerates a torn tail: a final line without its
-/// newline (the append that was racing the crash) is ignored.
+/// newline (the append that was racing the crash) is ignored, and
+/// recovery cuts it from the file before its first append.
 ///
 /// The log is truncated by the autosave snapshot once a checkpoint
 /// covering every record has been persisted *and* the session has no
@@ -45,19 +47,22 @@ class TrialWal {
   /// file and no newline terminates it.
   Status Append(const std::string& record);
 
-  /// Truncates the log to empty (after an autosave made it
-  /// redundant) and fsyncs.
-  Status Truncate();
+  /// Truncates the log to `size` bytes and fsyncs: to empty after an
+  /// autosave made it redundant, or to the end of the last complete
+  /// record when recovery found a torn tail.
+  Status Truncate(size_t size = 0);
 
   void Close();
   bool is_open() const { return fd_ >= 0; }
   std::string path() const { return path_; }
 
   /// Reads every complete record from the log at `path`. A torn tail
-  /// (final line with no newline) is dropped silently; a missing file
-  /// yields an empty list.
+  /// (final line with no newline) is dropped; when there is one and
+  /// `torn_at` is given, it receives the tail's offset, which is the
+  /// end of the last complete record. A missing file yields an empty
+  /// list.
   static Result<std::vector<std::string>> ReadRecords(
-      const std::string& path);
+      const std::string& path, std::optional<size_t>* torn_at = nullptr);
 
  private:
   int fd_ = -1;

@@ -1,5 +1,6 @@
 #include "src/service/tuning_service.h"
 
+#include <optional>
 #include <string_view>
 #include <type_traits>
 #include <utility>
@@ -163,9 +164,10 @@ Status TuningService::Add(const std::string& name, const SessionSpec& spec,
   if (checkpoint != nullptr) {
     LT_RETURN_NOT_OK(entry->tuner->Restore(*checkpoint));
   }
+  std::optional<size_t> torn_at;
   if (replay_wal) {
     Result<std::vector<std::string>> records =
-        TrialWal::ReadRecords(spec.wal_path);
+        TrialWal::ReadRecords(spec.wal_path, &torn_at);
     // A replay error leaves a valid prefix of the logged history (loss
     // is at most the request in flight), so recovery still succeeds.
     if (records.ok()) ReplayWal(*entry->tuner, *records).ok();
@@ -179,10 +181,14 @@ Status TuningService::Add(const std::string& name, const SessionSpec& spec,
   }
   // A fresh session must not replay a stale log left by an earlier
   // same-named one; a recovered session keeps the tail it replayed
-  // (truncating it here would widen the window a crash can lose).
-  if (!spec.wal_path.empty() && entry->wal.Open(spec.wal_path).ok() &&
-      !replay_wal) {
-    entry->wal.Truncate().ok();
+  // (truncating it here would widen the window a crash can lose), but
+  // cuts a torn last record, so the next append starts a fresh line.
+  if (!spec.wal_path.empty() && entry->wal.Open(spec.wal_path).ok()) {
+    if (!replay_wal) {
+      entry->wal.Truncate().ok();
+    } else if (torn_at.has_value()) {
+      entry->wal.Truncate(*torn_at).ok();
+    }
   }
   return Status::OK();
 }

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -494,6 +495,35 @@ TEST_F(WalReplayTest, ReplayStopsAtAGap) {
   const std::vector<std::string> gapped = {records_[0], records_[1],
                                            records_[4], records_[7]};
   EXPECT_EQ(Replay(start_, gapped), states_[2]);
+}
+
+TEST_F(WalReplayTest, RecoveryCutsATornTailSoASecondCrashLosesNothing) {
+  const std::string path = dir_ + "/twice.wal";
+  const SessionSpec spec = WalWorkloadSpec(path);
+  std::string checkpoint;
+  {
+    TuningService service;
+    ASSERT_TRUE(service.CreateSession("twice", spec).ok());
+    Result<std::string> start = service.Checkpoint("twice");
+    ASSERT_TRUE(start.ok());
+    checkpoint = *start;
+    ASSERT_TRUE(service.Step("twice").ok());
+    ASSERT_TRUE(service.Step("twice").ok());
+  }
+  // The append racing the first crash: a record with no newline.
+  std::ofstream(path, std::ios::app) << "step 2";
+  {
+    TuningService service;
+    ASSERT_TRUE(service.Recover("twice", spec, checkpoint).ok());
+    // Both steps are acknowledged, so a second crash must keep them.
+    ASSERT_TRUE(service.Step("twice").ok());
+    ASSERT_TRUE(service.Step("twice").ok());
+  }
+  TuningService service;
+  ASSERT_TRUE(service.Recover("twice", spec, checkpoint).ok());
+  Result<SessionStatus> status = service.GetStatus("twice");
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status->iterations_run, 3);
 }
 
 // A racing session's WAL holds askb records: the baseline's, a rung
