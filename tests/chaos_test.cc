@@ -10,6 +10,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/fault_injection.h"
@@ -212,6 +213,74 @@ TEST_F(ChaosTest, DroppedAskBatchReplyIsAdoptedNotRedrawn) {
   // Hit 8 is the last ask, clamped to the one trial left in the
   // budget: one orphan of an n = 3 request is still the lost batch.
   EXPECT_EQ(RunBatchChaosSession("server.send.reset=@8", &fired), baseline);
+  EXPECT_EQ(fired, 1u);
+}
+
+/// One baseline round, then a TellBatch of the next round's three
+/// results plus one for a trial that does not exist: the server tells
+/// the three, then fails on the fourth. Returns that TellBatch's status
+/// code and the normalized history; `fired` receives how many replies
+/// were lost.
+std::pair<StatusCode, std::string> RunPrefixTellBatch(
+    const std::string& fault_spec, uint64_t* fired) {
+  FaultInjection::Reset();
+  TuningServer server;
+  EXPECT_TRUE(server.Start().ok());
+  TuningClient client(ResilientOptions());
+  EXPECT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  if (!fault_spec.empty()) {
+    EXPECT_TRUE(FaultInjection::Configure(fault_spec));
+  }
+  EXPECT_TRUE(client.CreateSession("chaos", ChaosWireSpec()).ok());
+  std::vector<TrialResult> results;
+  StatusCode code = StatusCode::kOk;
+  for (int round = 0; round < 2; ++round) {
+    Result<std::vector<Trial>> trials = client.AskBatch("chaos", 3);
+    EXPECT_TRUE(trials.ok());
+    if (!trials.ok()) break;
+    results.clear();
+    for (const Trial& trial : *trials) {
+      TrialResult result;
+      result.trial_id = trial.id;
+      result.value = ExternalMeasure(trial.config);
+      results.push_back(result);
+    }
+    if (round == 1) {
+      TrialResult unknown;
+      unknown.trial_id = 999;
+      unknown.value = 1.0;
+      results.push_back(unknown);
+    }
+    code = client.TellBatch("chaos", results).code();
+  }
+  *fired = FaultInjection::FireCount("server.send.reset");
+  FaultInjection::Reset();
+  Result<std::string> checkpoint = client.Checkpoint("chaos");
+  EXPECT_TRUE(checkpoint.ok());
+  std::string trajectory = checkpoint.ok() ? Trajectory(*checkpoint) : "";
+  server.Stop();
+  return {code, trajectory};
+}
+
+TEST_F(ChaosTest, DroppedTellBatchReplyIsDeduplicated) {
+  uint64_t fired = 0;
+  const std::string baseline = RunBatchChaosSession("", &fired);
+
+  // Hit 5 is tell A's reply: all three results are committed, so the
+  // retry earns AlreadyExists, and re-telling them one by one dedups
+  // each back to OK.
+  EXPECT_EQ(RunBatchChaosSession("server.send.reset=@5", &fired), baseline);
+  EXPECT_EQ(fired, 1u);
+
+  // A batch that fails part way commits a prefix. Hits: CreateSession
+  // = 0, baseline ask = 1 and tell = 2, ask = 3, the failing tell = 4.
+  // With its reply lost, the re-tells must run past the committed
+  // prefix's AlreadyExists to the unknown trial's NotFound, which the
+  // uninterrupted call returned too.
+  const std::pair<StatusCode, std::string> clean =
+      RunPrefixTellBatch("", &fired);
+  EXPECT_EQ(clean.first, StatusCode::kNotFound);
+  EXPECT_EQ(RunPrefixTellBatch("server.send.reset=@4", &fired), clean);
   EXPECT_EQ(fired, 1u);
 }
 
