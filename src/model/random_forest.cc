@@ -23,6 +23,10 @@ struct Node {
   double variance = 0.0;
 };
 
+bool GoesLeft(const Node& split, double x) {
+  return split.categorical_split ? x == split.category : x <= split.threshold;
+}
+
 }  // namespace
 
 struct RandomForest::Tree {
@@ -32,13 +36,7 @@ struct RandomForest::Tree {
     int idx = 0;
     while (!nodes[idx].is_leaf) {
       const Node& node = nodes[idx];
-      bool go_left;
-      if (node.categorical_split) {
-        go_left = x[node.feature] == node.category;
-      } else {
-        go_left = x[node.feature] <= node.threshold;
-      }
-      idx = go_left ? node.left : node.right;
+      idx = GoesLeft(node, x[node.feature]) ? node.left : node.right;
     }
     return nodes[idx];
   }
@@ -50,14 +48,6 @@ namespace {
 // scored together, one per lane (the fourth lane repeats the third).
 typedef double Lanes __attribute__((vector_size(4 * sizeof(double))));
 using LaneMask = decltype(Lanes{} <= Lanes{});
-
-// n times the population variance of a side, from its one-pass sums.
-// Both sums run in `idx` order, so this matches a two-pass formula
-// over the same subset bit for bit.
-double VarianceTimesN(double sum, double sum_sq, int count) {
-  if (count < 2) return 0.0;
-  return sum_sq - sum * sum / static_cast<double>(count);
-}
 
 void MakeLeaf(Node* node, const double* ys, int m) {
   node->is_leaf = true;
@@ -72,136 +62,133 @@ void MakeLeaf(Node* node, const double* ys, int m) {
   node->variance = m < 2 ? 0.0 : acc / n;
 }
 
+Node MakeSplit(int feature, bool categorical, double value) {
+  Node split;
+  split.is_leaf = false;
+  split.feature = feature;
+  split.categorical_split = categorical;
+  (categorical ? split.category : split.threshold) = value;
+  return split;
+}
+
+// One side of a candidate split.
+struct Side {
+  int count = 0;
+  double sum = 0.0;
+  double sum_sq = 0.0;
+
+  void Add(double y) {
+    ++count;
+    sum += y;
+    sum_sq += y * y;
+  }
+  // n times the population variance. Both sums run in `idx` order, as
+  // a pass over this side alone would.
+  double VarianceTimesN() const {
+    return count < 2 ? 0.0 : sum_sq - sum * sum / static_cast<double>(count);
+  }
+};
+
 struct SplitChoice {
   bool valid = false;
-  int feature = -1;
-  bool categorical = false;
-  double threshold = 0.0;
-  double category = -1.0;
+  Node split;
   double score = std::numeric_limits<double>::infinity();
 };
 
-// The samples of the node being split, in `idx` order: x holds the
-// feature under test, y the targets.
-struct NodeView {
-  const double* x;
-  const double* y;
+// Searches one node's split: the best of a few random thresholds per
+// feature (extra-trees style randomized split search: fast and a good
+// exploration/variance trade-off for surrogate forests). `y` holds the
+// node's targets and `x` receives one feature's values at a time, both
+// in `idx` order.
+struct NodeSplitter {
+  const int* idx;
   int m;
+  const double* y;
+  double* x;
   int min_samples_leaf;
-};
+  SplitChoice* best;
 
-// Offers one candidate split, given its left count and per-side sums.
-void Offer(const NodeView& node, int feature, bool categorical,
-           double threshold, double category, int left_count,
-           double left_sum, double left_sq, double right_sum,
-           double right_sq, SplitChoice* best) {
-  int right_count = node.m - left_count;
-  if (left_count < node.min_samples_leaf ||
-      right_count < node.min_samples_leaf) {
-    return;
-  }
-  double score = VarianceTimesN(left_sum, left_sq, left_count) +
-                 VarianceTimesN(right_sum, right_sq, right_count);
-  if (score < best->score) {
-    best->valid = true;
-    best->feature = feature;
-    best->categorical = categorical;
-    best->threshold = threshold;
-    best->category = category;
-    best->score = score;
-  }
-}
+  // `column` is the feature's column of X.
+  void TryFeature(const SearchSpace& space, int feature,
+                  const double* column, Rng* rng) {
+    double lo = std::numeric_limits<double>::infinity();
+    double hi = -std::numeric_limits<double>::infinity();
+    for (int k = 0; k < m; ++k) {
+      x[k] = column[idx[k]];
+      lo = std::min(lo, x[k]);
+      hi = std::max(hi, x[k]);
+    }
+    if (!(hi > lo)) return;  // constant feature in this node
 
-void OfferCategory(const NodeView& node, int feature, double category,
-                   SplitChoice* best) {
-  int left_count = 0;
-  double left_sum = 0.0, left_sq = 0.0, right_sum = 0.0, right_sq = 0.0;
-  for (int k = 0; k < node.m; ++k) {
-    double y = node.y[k];
-    if (node.x[k] == category) {
-      ++left_count;
-      left_sum += y;
-      left_sq += y * y;
+    if (space.dim(feature).type == SearchDim::Type::kCategorical) {
+      // One-vs-rest split on a category present in this node.
+      double cat = x[rng->UniformInt(0, m - 1)];
+      OfferCategory(feature, cat);
+      // Also try one more random present category for better splits.
+      double cat2 = x[rng->UniformInt(0, m - 1)];
+      if (cat2 != cat) OfferCategory(feature, cat2);
     } else {
-      right_sum += y;
-      right_sq += y * y;
+      // Every threshold is drawn before scoring, which draws nothing.
+      double thresholds[3];
+      for (double& threshold : thresholds) threshold = rng->Uniform(lo, hi);
+      OfferThresholds(feature, thresholds);
     }
   }
-  Offer(node, feature, /*categorical=*/true, 0.0, category, left_count,
-        left_sum, left_sq, right_sum, right_sq, best);
-}
 
-// Scores three thresholds in one pass. A sample adds +0.0 to the side
-// it is not on; the sums start at +0.0 and so never hold -0.0, which
-// makes each lane's sums equal to summing its subset alone.
-void OfferThresholds(const NodeView& node, int feature,
-                     const double (&thresholds)[3], SplitChoice* best) {
-  const Lanes t = {thresholds[0], thresholds[1], thresholds[2],
-                   thresholds[2]};
-  Lanes left_sum = {}, left_sq = {}, right_sum = {}, right_sq = {};
-  LaneMask left_count = {};
-  for (int k = 0; k < node.m; ++k) {
-    const double x = node.x[k], y = node.y[k];
-    const Lanes xs = {x, x, x, x};
-    const Lanes ys = {y, y, y, y};
-    const LaneMask go_left = xs <= t;  // all ones where left
-    const Lanes left = (Lanes)((LaneMask)ys & go_left);
-    const Lanes right = (Lanes)((LaneMask)ys & ~go_left);
-    left_count -= go_left;
-    left_sum += left;
-    left_sq += left * left;
-    right_sum += right;
-    right_sq += right * right;
+  void Offer(const Node& split, const Side& left, const Side& right) {
+    if (left.count < min_samples_leaf || right.count < min_samples_leaf) {
+      return;
+    }
+    double score = left.VarianceTimesN() + right.VarianceTimesN();
+    if (score < best->score) {
+      best->valid = true;
+      best->split = split;
+      best->score = score;
+    }
   }
-  for (int j = 0; j < 3; ++j) {
-    Offer(node, feature, /*categorical=*/false, thresholds[j], -1.0,
-          static_cast<int>(left_count[j]), left_sum[j], left_sq[j],
-          right_sum[j], right_sq[j], best);
-  }
-}
 
-// Evaluates the best of a few random thresholds on one feature
-// (extra-trees style randomized split search: fast and a good
-// exploration/variance trade-off for surrogate forests). `column` is
-// the feature's column of X; `x` receives the node's values of it.
-void TrySplitsOnFeature(const SearchSpace& space, int feature,
-                        const double* column, const int* idx, double* x,
-                        NodeView node, Rng* rng, SplitChoice* best) {
-  double lo = std::numeric_limits<double>::infinity();
-  double hi = -std::numeric_limits<double>::infinity();
-  for (int k = 0; k < node.m; ++k) {
-    x[k] = column[idx[k]];
-    lo = std::min(lo, x[k]);
-    hi = std::max(hi, x[k]);
+  void OfferCategory(int feature, double category) {
+    Side left, right;
+    for (int k = 0; k < m; ++k) (x[k] == category ? left : right).Add(y[k]);
+    Offer(MakeSplit(feature, /*categorical=*/true, category), left, right);
   }
-  if (!(hi > lo)) return;  // constant feature in this node
-  node.x = x;
 
-  if (space.dim(feature).type == SearchDim::Type::kCategorical) {
-    // One-vs-rest split on a category present in this node.
-    double cat = x[rng->UniformInt(0, node.m - 1)];
-    OfferCategory(node, feature, cat, best);
-    // Also try one more random present category for better splits.
-    double cat2 = x[rng->UniformInt(0, node.m - 1)];
-    if (cat2 != cat) OfferCategory(node, feature, cat2, best);
-  } else {
-    // Every threshold is drawn before scoring, which draws nothing.
-    double thresholds[3];
-    for (double& threshold : thresholds) threshold = rng->Uniform(lo, hi);
-    OfferThresholds(node, feature, thresholds, best);
+  // Scores three thresholds in one pass. A sample adds +0.0 to the
+  // side it is not on; the sums start at +0.0 and so never hold -0.0,
+  // which makes each lane's sums those of its subset alone.
+  void OfferThresholds(int feature, const double (&thresholds)[3]) {
+    const Lanes t = {thresholds[0], thresholds[1], thresholds[2],
+                     thresholds[2]};
+    Lanes left_sum = {}, left_sq = {}, right_sum = {}, right_sq = {};
+    LaneMask left_count = {};
+    for (int k = 0; k < m; ++k) {
+      const Lanes xs = {x[k], x[k], x[k], x[k]};
+      const Lanes ys = {y[k], y[k], y[k], y[k]};
+      const LaneMask go_left = xs <= t;  // all ones where left
+      const Lanes left = (Lanes)((LaneMask)ys & go_left);
+      const Lanes right = (Lanes)((LaneMask)ys & ~go_left);
+      left_count -= go_left;
+      left_sum += left;
+      left_sq += left * left;
+      right_sum += right;
+      right_sq += right * right;
+    }
+    for (int j = 0; j < 3; ++j) {
+      int count = static_cast<int>(left_count[j]);
+      Offer(MakeSplit(feature, /*categorical=*/false, thresholds[j]),
+            {count, left_sum[j], left_sq[j]},
+            {m - count, right_sum[j], right_sq[j]});
+    }
   }
-}
+};
 
-// Stable in-place partition of idx[0, m) by the chosen split; returns
-// the left side's size. Both sides keep their `idx` order.
-int Partition(const SplitChoice& split, const double* column, int* idx,
-              int m, int* scratch) {
+// Stable in-place partition of idx[0, m) by `split`; returns the left
+// side's size. Both sides keep their `idx` order.
+int Partition(const Node& split, const double* column, int* idx, int m,
+              int* scratch) {
   int left = 0, right = 0;
   for (int k = 0; k < m; ++k) {
-    double x = column[idx[k]];
-    bool go_left = split.categorical ? x == split.category
-                                     : x <= split.threshold;
-    if (go_left) {
+    if (GoesLeft(split, column[idx[k]])) {
       idx[left++] = idx[k];
     } else {
       scratch[right++] = idx[k];
@@ -272,33 +259,27 @@ void RandomForest::Fit(const std::vector<std::vector<double>>& xs,
       bool can_split =
           m >= options_.min_samples_split && work.depth < options_.max_depth;
       SplitChoice best;
+      NodeSplitter splitter{node_idx, m, node_y.data(), node_x.data(),
+                            options_.min_samples_leaf, &best};
       if (can_split) {
         // The draws of Rng::SampleWithoutReplacement, into a reused buffer.
         std::iota(features.begin(), features.end(), 0);
         std::shuffle(features.begin(), features.end(), rng_.engine());
-        NodeView view{nullptr, node_y.data(), m, options_.min_samples_leaf};
         for (int j = 0; j < features_per_split; ++j) {
           int f = features[j];
-          TrySplitsOnFeature(space_, f, column(f), node_idx, node_x.data(),
-                             view, &rng_, &best);
+          splitter.TryFeature(space_, f, column(f), &rng_);
         }
       }
       if (!best.valid) {
         MakeLeaf(&tree->nodes[work.node], node_y.data(), m);
         continue;
       }
-      Node& node = tree->nodes[work.node];
-      node.is_leaf = false;
-      node.feature = best.feature;
-      node.categorical_split = best.categorical;
-      node.threshold = best.threshold;
-      node.category = best.category;
-      int mid = work.begin + Partition(best, column(best.feature), node_idx,
-                                       m, scratch.data());
+      tree->nodes[work.node] = best.split;
+      int mid = work.begin + Partition(best.split, column(best.split.feature),
+                                       node_idx, m, scratch.data());
       int left = static_cast<int>(tree->nodes.size());
       tree->nodes.emplace_back();
       tree->nodes.emplace_back();
-      // Note: `node` reference may dangle after emplace_back; re-index.
       tree->nodes[work.node].left = left;
       tree->nodes[work.node].right = left + 1;
       stack.push_back({left, work.begin, mid, work.depth + 1});
