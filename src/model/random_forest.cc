@@ -162,11 +162,11 @@ struct NodeSplitter {
     Lanes left_sum = {}, left_sq = {}, right_sum = {}, right_sq = {};
     LaneMask left_count = {};
     for (int k = 0; k < m; ++k) {
-      const Lanes xs = {x[k], x[k], x[k], x[k]};
-      const Lanes ys = {y[k], y[k], y[k], y[k]};
-      const LaneMask go_left = xs <= t;  // all ones where left
-      const Lanes left = (Lanes)((LaneMask)ys & go_left);
-      const Lanes right = (Lanes)((LaneMask)ys & ~go_left);
+      const Lanes x_lanes = {x[k], x[k], x[k], x[k]};
+      const Lanes y_lanes = {y[k], y[k], y[k], y[k]};
+      const LaneMask go_left = x_lanes <= t;  // all ones where left
+      const Lanes left = (Lanes)((LaneMask)y_lanes & go_left);
+      const Lanes right = (Lanes)((LaneMask)y_lanes & ~go_left);
       left_count -= go_left;
       left_sum += left;
       left_sq += left * left;
