@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
+
+#include "src/common/lanes.h"
+#include "src/common/thread_pool.h"
 
 namespace llamatune {
 
@@ -17,10 +21,32 @@ std::vector<double> Matrix::Apply(const std::vector<double>& x) const {
 }
 
 std::vector<double> Matrix::ApplyTransposed(const std::vector<double>& x) const {
+  // Rows in ascending order, columns side by side in lanes: each y[c]
+  // is the serial sum over r.
   std::vector<double> y(cols_, 0.0);
+  double* out = y.data();
   for (int r = 0; r < rows_; ++r) {
     const double* row = Row(r);
-    for (int c = 0; c < cols_; ++c) y[c] += row[c] * x[r];
+    int c = 0;
+    for (; c + 4 <= cols_; c += 4) {
+      *AsLanes(out + c) += *AsLanes(row + c) * x[r];
+    }
+    for (; c < cols_; ++c) out[c] += row[c] * x[r];
+  }
+  return y;
+}
+
+std::vector<double> Matrix::ColumnSumsOfSquares() const {
+  std::vector<double> y(cols_, 0.0);
+  double* out = y.data();
+  for (int r = 0; r < rows_; ++r) {
+    const double* row = Row(r);
+    int c = 0;
+    for (; c + 4 <= cols_; c += 4) {
+      const Lanes v = *AsLanes(row + c);
+      *AsLanes(out + c) += v * v;
+    }
+    for (; c < cols_; ++c) out[c] += row[c] * row[c];
   }
   return y;
 }
@@ -186,62 +212,151 @@ void TriangularSolveLowerTransposed(const Matrix& l, const double* b,
   }
 }
 
-void TriangularSolveLowerMulti(const Matrix& l, Matrix* b) {
-  // Rows are processed in groups of four: the shared prefix (columns
-  // before the group) reads each solved row once and updates all four
-  // group rows in a single fused, vectorizable pass — a 4x cut in
-  // cache traffic over the row-at-a-time form. Each output element
-  // still receives its subtractions in ascending-k order followed by
-  // one division, so per-column results are bit-for-bit what
-  // TriangularSolveLower produces.
-  int n = l.rows();
-  int m = b->cols();
-  constexpr int kGroup = 4;
-  for (int g = 0; g < n; g += kGroup) {
-    int gb = std::min(kGroup, n - g);
-    if (gb == kGroup) {
-      double* __restrict__ r0 = b->Row(g);
-      double* __restrict__ r1 = b->Row(g + 1);
-      double* __restrict__ r2 = b->Row(g + 2);
-      double* __restrict__ r3 = b->Row(g + 3);
-      for (int k = 0; k < g; ++k) {
-        const double* __restrict__ b_k = b->Row(k);
-        double l0 = l.at(g, k);
-        double l1 = l.at(g + 1, k);
-        double l2 = l.at(g + 2, k);
-        double l3 = l.at(g + 3, k);
-        for (int c = 0; c < m; ++c) {
-          double x = b_k[c];
-          r0[c] -= l0 * x;
-          r1[c] -= l1 * x;
-          r2[c] -= l2 * x;
-          r3[c] -= l3 * x;
-        }
-      }
-    } else {
-      for (int r = 0; r < gb; ++r) {
-        double* __restrict__ b_r = b->Row(g + r);
-        for (int k = 0; k < g; ++k) {
-          double l_rk = l.at(g + r, k);
-          const double* __restrict__ b_k = b->Row(k);
-          for (int c = 0; c < m; ++c) b_r[c] -= l_rk * b_k[c];
-        }
-      }
-    }
-    // Finish the group: intra-group subtractions and divisions in row
-    // order (row g+1 uses the just-finalized row g, and so on).
-    for (int r = 0; r < gb; ++r) {
-      int i = g + r;
-      double* __restrict__ b_i = b->Row(i);
-      for (int k = g; k < i; ++k) {
-        double l_ik = l.at(i, k);
-        const double* __restrict__ b_k = b->Row(k);
-        for (int c = 0; c < m; ++c) b_i[c] -= l_ik * b_k[c];
-      }
-      double divisor = l.at(i, i);
-      for (int c = 0; c < m; ++c) b_i[c] /= divisor;
-    }
+namespace {
+
+// Loads and stores of one tile column: four lanes, or one double in the
+// narrow column tail.
+inline void LoadCell(const double* p, Lanes* v) { *v = *AsLanes(p); }
+inline void LoadCell(const double* p, double* v) { *v = *p; }
+inline void StoreCell(double* p, const Lanes& v) { *AsLanes(p) = v; }
+inline void StoreCell(double* p, double v) { *p = v; }
+
+// Calls f(std::integral_constant<int, 0>{}) ... f(<N - 1>{}): the tile
+// loops are unrolled at compile time, so a tile's lanes live in
+// registers at any optimisation level.
+template <typename F, int... Is>
+inline void UnrollImpl(F&& f, std::integer_sequence<int, Is...>) {
+  (f(std::integral_constant<int, Is>{}), ...);
+}
+template <int N, typename F>
+inline void Unroll(F&& f) {
+  UnrollImpl(f, std::make_integer_sequence<int, N>{});
+}
+
+// Solves rows [g, g + R) of L Z = B for the columns [c, c + V * width)
+// (Goto & van de Geijn's register blocking): the R x V block of lanes
+// stays in registers across the whole shared prefix k in [0, g), then
+// takes the intra-group subtractions and the divisions there too, and
+// is stored once. Every element still sees b - l_0 x_0 - l_1 x_1 - ...
+// in ascending k followed by one division, as TriangularSolveLower
+// computes it.
+template <typename T, int R, int V>
+void SolveTile(const Matrix& l, Matrix* b, int g, int c) {
+  constexpr int kW = sizeof(T) / sizeof(double);
+  const double* l_rows[R];
+  T acc[R][V];
+  Unroll<R>([&](auto r) {
+    l_rows[r] = l.Row(g + r);
+    const double* b_r = b->Row(g + r) + c;
+    Unroll<V>([&](auto j) { LoadCell(b_r + j * kW, &acc[r][j]); });
+  });
+  for (int k = 0; k < g; ++k) {
+    const double* b_k = b->Row(k) + c;
+    T x[V];
+    Unroll<V>([&](auto j) { LoadCell(b_k + j * kW, &x[j]); });
+    Unroll<R>([&](auto r) {
+      const double l_rk = l_rows[r][k];
+      Unroll<V>([&](auto j) { acc[r][j] -= l_rk * x[j]; });
+    });
   }
+  // Row g + r uses the rows of the group finished before it.
+  Unroll<R>([&](auto r) {
+    Unroll<r>([&](auto k) {
+      const double l_rk = l_rows[r][g + k];
+      Unroll<V>([&](auto j) { acc[r][j] -= l_rk * acc[k][j]; });
+    });
+    const double divisor = l_rows[r][g + r];
+    Unroll<V>([&](auto j) { acc[r][j] /= divisor; });
+  });
+  Unroll<R>([&](auto r) {
+    double* b_r = b->Row(g + r) + c;
+    Unroll<V>([&](auto j) { StoreCell(b_r + j * kW, acc[r][j]); });
+  });
+}
+
+// All columns of rows [g, g + R): 12-wide tiles, then 8-, 4- and
+// 1-wide tails.
+template <int R>
+void SolveGroup(const Matrix& l, Matrix* b, int g) {
+  int m = b->cols();
+  int c = 0;
+  for (; c + 12 <= m; c += 12) SolveTile<Lanes, R, 3>(l, b, g, c);
+  if (c + 8 <= m) {
+    SolveTile<Lanes, R, 2>(l, b, g, c);
+    c += 8;
+  }
+  if (c + 4 <= m) {
+    SolveTile<Lanes, R, 1>(l, b, g, c);
+    c += 4;
+  }
+  for (; c < m; ++c) SolveTile<double, R, 1>(l, b, g, c);
+}
+
+// Rows [u0, u0 + H) x columns [v0, v0 + 4) of WeightedGramLower: one
+// lane per column, summed over ascending i.
+template <int H>
+void GramTile(const Matrix& bt, const double* w, int u0, int v0,
+              Matrix* out) {
+  Lanes acc[H];
+  Unroll<H>([&](auto r) { acc[r] = Lanes{}; });
+  for (int i = 0; i < bt.rows(); ++i) {
+    const double* row = bt.Row(i);
+    const Lanes x = *AsLanes(row + v0);
+    Unroll<H>([&](auto r) { acc[r] += row[u0 + r] * x * w[i]; });
+  }
+  for (int r = 0; r < H; ++r) {
+    double* out_row = out->Row(u0 + r);
+    for (int j = 0; j < 4 && v0 + j <= u0 + r; ++j) out_row[v0 + j] = acc[r][j];
+  }
+}
+
+}  // namespace
+
+void TriangularSolveLowerMulti(const Matrix& l, Matrix* b) {
+  // Rows go in groups of four, columns in register tiles: each solved
+  // row is read once per tile and each output element is loaded and
+  // stored once, instead of once per k.
+  int n = l.rows();
+  int g = 0;
+  for (; g + 4 <= n; g += 4) SolveGroup<4>(l, b, g);
+  // The last 1-3 rows.
+  static constexpr void (*kTail[])(const Matrix&, Matrix*, int) = {
+      SolveGroup<1>, SolveGroup<2>, SolveGroup<3>};
+  if (g < n) kTail[n - g - 1](l, b, g);
+}
+
+void WeightedGramLower(const Matrix& bt, const double* w, Matrix* out,
+                       int num_threads) {
+  int m = bt.cols();
+  int tile_rows = (m + 3) / 4;
+  // Full-width tiles of 1-4 rows (only the last tile row is shorter).
+  static constexpr void (*kTiles[])(const Matrix&, const double*, int, int,
+                                    Matrix*) = {GramTile<1>, GramTile<2>,
+                                                GramTile<3>, GramTile<4>};
+  ThreadPool::Global().ParallelFor(
+      tile_rows,
+      [&](int t) {
+        int u0 = 4 * t;
+        int h = std::min(4, m - u0);
+        for (int v0 = 0; v0 <= u0; v0 += 4) {
+          if (v0 + 4 > m) {
+            // The last diagonal tile is narrower than a lane vector:
+            // one scalar sum per element, in the same order.
+            for (int u = u0; u < m; ++u) {
+              for (int v = v0; v <= u; ++v) {
+                double acc = 0.0;
+                for (int i = 0; i < bt.rows(); ++i) {
+                  acc += bt.at(i, u) * bt.at(i, v) * w[i];
+                }
+                out->at(u, v) = acc;
+              }
+            }
+            continue;
+          }
+          kTiles[h - 1](bt, w, u0, v0, out);
+        }
+      },
+      num_threads);
 }
 
 }  // namespace llamatune

@@ -54,8 +54,13 @@ class Matrix {
   /// y = M x  (x has cols() entries; y has rows() entries).
   std::vector<double> Apply(const std::vector<double>& x) const;
 
-  /// y = M^T x (x has rows() entries; y has cols() entries).
+  /// y = M^T x (x has rows() entries; y has cols() entries). Each
+  /// y[c] is summed over ascending rows.
   std::vector<double> ApplyTransposed(const std::vector<double>& x) const;
+
+  /// y[c] = sum_r M(r, c)^2, summed over ascending rows (cols()
+  /// entries).
+  std::vector<double> ColumnSumsOfSquares() const;
 
   /// Resizes to (rows, cols) keeping the overlapping top-left block;
   /// new cells are set to `fill`. Capacity grows geometrically and per
@@ -119,12 +124,25 @@ void TriangularSolveLowerTransposed(const Matrix& l, const double* b,
 
 /// Solves L Z = B for all columns of B at once, in place (B is n x m;
 /// each column is an independent right-hand side). One pass over L
-/// serves every column, with contiguous row-wise inner loops — this is
-/// what lets acquisition scoring solve all candidate k_star columns
-/// against the cached factor in a single sweep. Column c of the result
-/// is bit-for-bit what TriangularSolveLower would produce for column c
+/// serves every column — this is what lets acquisition scoring solve
+/// all candidate k_star columns against the cached factor in a single
+/// sweep. Rows go in groups of four and columns in register tiles of
+/// 12 (tails of 8, 4 and 1), so a tile is loaded and stored once per
+/// group rather than once per solved row. Column c of the result is
+/// bit-for-bit what TriangularSolveLower would produce for column c
 /// alone.
 void TriangularSolveLowerMulti(const Matrix& l, Matrix* b);
+
+/// Lower triangle of the weighted Gram matrix B diag(w) B^T, read from
+/// the transposed `bt` (n x m, row i holds B's column i):
+///   out(u, v) = sum_i (bt(i, u) * bt(i, v)) * w[i]   for v <= u,
+/// each summed over ascending i from +0.0 — bit-for-bit the naive
+/// triple loop. `out` must be m x m; its upper triangle is left as is.
+/// Computed in 4 x 4 register tiles, one lane per column v; the tile
+/// rows are spread over up to `num_threads` executors of the global
+/// pool (1 = serial inline), which cannot change any bit.
+void WeightedGramLower(const Matrix& bt, const double* w, Matrix* out,
+                       int num_threads);
 
 /// @}
 

@@ -399,6 +399,29 @@ void GaussianProcess::Predict(const std::vector<double>& x, double* mean,
   *variance = variances[0];
 }
 
+Matrix GaussianProcess::KStarBlock(const std::vector<std::vector<double>>& xs,
+                                   int lo, int hi) const {
+  BoundKernel kernel(geometry_, params_);
+  int n = chol_.rows();  // fitted prefix
+  int bm = hi - lo;
+  // Rows candidate-major for the kernel sweep, then transposed.
+  Matrix k_star(bm, n);
+  std::vector<double> cont(geometry_.num_cont);
+  std::vector<double> cat(geometry_.num_cat);
+  std::vector<double> scratch(n);
+  for (int c = 0; c < bm; ++c) {
+    SplitPoint(geometry_, xs[lo + c].data(), cont.data(), cat.data());
+    KStarRow(kernel, cont.data(), cat.data(), n, k_star.Row(c),
+             scratch.data());
+  }
+  Matrix v(n, bm);
+  for (int i = 0; i < n; ++i) {
+    double* v_row = v.Row(i);
+    for (int c = 0; c < bm; ++c) v_row[c] = k_star.at(c, i);
+  }
+  return v;
+}
+
 void GaussianProcess::PredictBatch(const std::vector<std::vector<double>>& xs,
                                    std::vector<double>* means,
                                    std::vector<double>* variances) const {
@@ -425,7 +448,6 @@ void GaussianProcess::PredictBatch(const std::vector<std::vector<double>>& xs,
   BoundKernel kernel(geometry_, params_);
   double k_xx = kernel.FromDistance(0.0, 0.0) + params_.noise_variance;
   double var_scale = y_std_ * y_std_;
-  int n = chol_.rows();  // fitted prefix
   constexpr int kBlock = 128;
   int num_blocks = (m + kBlock - 1) / kBlock;
   ThreadPool::Global().ParallelFor(
@@ -434,33 +456,15 @@ void GaussianProcess::PredictBatch(const std::vector<std::vector<double>>& xs,
         int lo = b * kBlock;
         int hi = std::min(m, lo + kBlock);
         int bm = hi - lo;
-        // k_star rows, candidate-major for the kernel sweep.
-        Matrix k_star(bm, n);
-        std::vector<double> cont(geometry_.num_cont);
-        std::vector<double> cat(geometry_.num_cat);
-        std::vector<double> scratch(n);
-        for (int c = 0; c < bm; ++c) {
-          SplitPoint(geometry_, xs[lo + c].data(), cont.data(), cat.data());
-          double* row = k_star.Row(c);
-          KStarRow(kernel, cont.data(), cat.data(), n, row, scratch.data());
-          double mu_std = 0.0;
-          for (int i = 0; i < n; ++i) mu_std += row[i] * alpha_[i];
-          (*means)[lo + c] = mu_std * y_std_ + y_mean_;
-        }
-        // Solve all k_star columns against the cached factor in one
-        // sweep: transpose to column-per-candidate and multi-solve.
-        Matrix v(n, bm);
-        for (int i = 0; i < n; ++i) {
-          double* v_row = v.Row(i);
-          for (int c = 0; c < bm; ++c) v_row[c] = k_star.at(c, i);
-        }
+        // Column per candidate: the mean k*^T alpha runs one lane per
+        // candidate, and one multi-solve against the cached factor
+        // serves every k_star column.
+        Matrix v = KStarBlock(xs, lo, hi);
+        std::vector<double> mu_std = v.ApplyTransposed(alpha_);
         TriangularSolveLowerMulti(chol_, &v);
-        std::vector<double> sum_sq(bm, 0.0);
-        for (int i = 0; i < n; ++i) {
-          const double* v_row = v.Row(i);
-          for (int c = 0; c < bm; ++c) sum_sq[c] += v_row[c] * v_row[c];
-        }
+        std::vector<double> sum_sq = v.ColumnSumsOfSquares();
         for (int c = 0; c < bm; ++c) {
+          (*means)[lo + c] = mu_std[c] * y_std_ + y_mean_;
           double var_std = std::max(k_xx - sum_sq[c], 1e-12);
           (*variances)[lo + c] = var_std * var_scale;
         }

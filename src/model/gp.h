@@ -130,6 +130,13 @@ class GaussianProcess {
                     std::vector<double>* means,
                     std::vector<double>* variances) const;
 
+  /// k(X_fit, x) for every x in xs[lo, hi), one column per candidate
+  /// against the fitted prefix (fitted n x (hi - lo)): the block
+  /// PredictBatch solves. Requires a fitted model. Public so that
+  /// benches can time the kernel build apart from the solves.
+  Matrix KStarBlock(const std::vector<std::vector<double>>& xs, int lo,
+                    int hi) const;
+
   int num_observations() const { return n_; }
   bool fitted() const { return fitted_; }
   const KernelParams& params() const { return params_; }
@@ -173,7 +180,8 @@ class GaussianProcess {
   /// first `m` training points, via dim-major sweeps over the
   /// transposed training blocks (vectorizes across training points).
   /// `sq_scratch` must hold m doubles. Both Predict and PredictBatch
-  /// go through this, so their results are bit-for-bit identical.
+  /// go through this (by way of KStarBlock), so their results are
+  /// bit-for-bit identical.
   void KStarRow(const BoundKernel& kernel, const double* cont,
                 const double* cat, int m, double* row,
                 double* sq_scratch) const;

@@ -5,6 +5,8 @@
 #include <limits>
 #include <numeric>
 
+#include "src/common/lanes.h"
+
 namespace llamatune {
 
 namespace {
@@ -44,9 +46,8 @@ struct RandomForest::Tree {
 
 namespace {
 
-// Four doubles side by side: the three thresholds of a feature are
-// scored together, one per lane (the fourth lane repeats the third).
-typedef double Lanes __attribute__((vector_size(4 * sizeof(double))));
+// The three thresholds of a feature are scored together, one per lane
+// (the fourth lane repeats the third).
 using LaneMask = decltype(Lanes{} <= Lanes{});
 
 void MakeLeaf(Node* node, const double* ys, int m) {

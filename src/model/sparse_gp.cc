@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "src/common/lanes.h"
 #include "src/common/math_util.h"
 #include "src/common/rng.h"
 #include "src/common/thread_pool.h"
@@ -44,8 +45,6 @@ void SparseGaussianProcess::Reset() {
   ind_mm_ = Matrix();
   params_ = KernelParams{};
   lu_ = Matrix();
-  b_ = Matrix();
-  fitc_inv_.clear();
   lm_ = Matrix();
   w_.clear();
   fit_count_ = 0;
@@ -155,21 +154,23 @@ void SparseGaussianProcess::BuildCrossGeometry() {
 namespace {
 
 /// Shared FITC assembly: factors K_uu + jitter, solves B = L_u^-1 K_uf,
-/// builds the FITC diagonal inverse and M = I + B D^-1 B^T, and factors
-/// M. Returns false if either factorization fails at this jitter.
+/// builds the FITC diagonal inverse, r = B D^-1 y_std and
+/// M = I + B D^-1 B^T, and factors M. Returns false if either
+/// factorization fails at this jitter.
 struct FitcParts {
   Matrix lu;                    // chol(K_uu + jitter)
-  Matrix b;                     // L_u^-1 K_uf (m x n)
   std::vector<double> d_inv;    // FITC diagonal inverse (n)
   double sum_log_d = 0.0;       // sum log d_i
+  std::vector<double> r;        // B D^-1 y_std (m)
   Matrix lm;                    // chol(I + B D^-1 B^T)
 };
 
 bool BuildFitcParts(const BoundKernel& kernel, const KernelParams& params,
                     const Matrix& ind_s0, const Matrix& ind_mm,
                     const Matrix& cross_s0, const Matrix& cross_mm,
-                    int n, int m, bool track_mismatch, double jitter,
-                    int num_threads, FitcParts* out) {
+                    const std::vector<double>& ys_std, int n, int m,
+                    bool track_mismatch, double jitter, int num_threads,
+                    FitcParts* out) {
   // K_uu (lower triangle) + jitter.
   out->lu = Matrix(m, m);
   for (int u = 0; u < m; ++u) {
@@ -185,27 +186,23 @@ bool BuildFitcParts(const BoundKernel& kernel, const KernelParams& params,
   if (!CholeskyFactorInPlace(&out->lu).ok()) return false;
 
   // B = L_u^-1 K_uf, all n columns in one sweep.
-  out->b = Matrix(m, n);
+  Matrix b(m, n);
   for (int u = 0; u < m; ++u) {
-    double* b_row = out->b.Row(u);
+    double* b_row = b.Row(u);
     for (int i = 0; i < n; ++i) {
       double k = kernel.MaternFromS0(cross_s0.at(i, u));
       if (track_mismatch) k *= kernel.HammingFactor(cross_mm.at(i, u));
       b_row[i] = k;
     }
   }
-  TriangularSolveLowerMulti(out->lu, &out->b);
+  TriangularSolveLowerMulti(out->lu, &b);
 
   // FITC diagonal d_i = k_ii - q_ii + noise, q_ii = sum_u B(u,i)^2.
   // q_ii <= k_ii in exact arithmetic (jitter only lowers it), so d_i
   // >= noise; the floor guards rounding.
   double k_ii = kernel.FromDistance(0.0, 0.0);
+  std::vector<double> q = b.ColumnSumsOfSquares();
   out->d_inv.assign(n, 0.0);
-  std::vector<double> q(n, 0.0);
-  for (int u = 0; u < m; ++u) {
-    const double* b_row = out->b.Row(u);
-    for (int i = 0; i < n; ++i) q[i] += b_row[i] * b_row[i];
-  }
   out->sum_log_d = 0.0;
   for (int i = 0; i < n; ++i) {
     double d = std::max(k_ii - q[i] + params.noise_variance, 1e-12);
@@ -213,27 +210,34 @@ bool BuildFitcParts(const BoundKernel& kernel, const KernelParams& params,
     out->sum_log_d += std::log(d);
   }
 
-  // M = I + B D^-1 B^T (lower triangle). Row-parallel: each (u, v)
-  // entry is an index-ordered reduction over i, so the result is
-  // independent of the executor count.
+  // The rest reads B transposed, so that B's columns u lie side by side
+  // in lanes.
+  Matrix bt(n, m);
+  for (int u = 0; u < m; ++u) {
+    const double* b_row = b.Row(u);
+    for (int i = 0; i < n; ++i) bt.at(i, u) = b_row[i];
+  }
+
+  // r_u = sum_i (B(u,i) d_i^-1) y_i over ascending i, one lane per u.
+  out->r.assign(m, 0.0);
+  double* r = out->r.data();
+  for (int i = 0; i < n; ++i) {
+    const double* bt_row = bt.Row(i);
+    const double d_i = out->d_inv[i];
+    const double y_i = ys_std[i];
+    int u = 0;
+    for (; u + 4 <= m; u += 4) {
+      *AsLanes(r + u) += *AsLanes(bt_row + u) * d_i * y_i;
+    }
+    for (; u < m; ++u) r[u] += bt_row[u] * d_i * y_i;
+  }
+
+  // M = I + B D^-1 B^T (lower triangle). Each (u, v) entry is an
+  // index-ordered reduction over i, so the result is independent of
+  // the executor count.
   out->lm = Matrix(m, m);
-  const Matrix& b = out->b;
-  const std::vector<double>& d_inv = out->d_inv;
-  Matrix* lm = &out->lm;
-  ThreadPool::Global().ParallelFor(
-      m,
-      [&, lm](int u) {
-        const double* b_u = b.Row(u);
-        double* row = lm->Row(u);
-        for (int v = 0; v <= u; ++v) {
-          const double* b_v = b.Row(v);
-          double acc = 0.0;
-          for (int i = 0; i < n; ++i) acc += b_u[i] * b_v[i] * d_inv[i];
-          row[v] = acc;
-        }
-        row[u] += 1.0;
-      },
-      num_threads);
+  WeightedGramLower(bt, out->d_inv.data(), &out->lm, num_threads);
+  for (int u = 0; u < m; ++u) out->lm.at(u, u) += 1.0;
   return CholeskyFactorInPlace(&out->lm).ok();
 }
 
@@ -247,15 +251,8 @@ bool BuildFitcParts(const BoundKernel& kernel, const KernelParams& params,
 double FitcLmlFromParts(const FitcParts& parts,
                         const std::vector<double>& ys_std, int n, int m,
                         std::vector<double>* g_out) {
-  std::vector<double> r(m, 0.0);
-  for (int u = 0; u < m; ++u) {
-    const double* b_row = parts.b.Row(u);
-    double acc = 0.0;
-    for (int i = 0; i < n; ++i) acc += b_row[i] * parts.d_inv[i] * ys_std[i];
-    r[u] = acc;
-  }
   std::vector<double> g(m, 0.0);
-  TriangularSolveLower(parts.lm, r.data(), g.data());
+  TriangularSolveLower(parts.lm, parts.r.data(), g.data());
   double quad = 0.0;
   for (int i = 0; i < n; ++i) quad += ys_std[i] * ys_std[i] * parts.d_inv[i];
   for (int u = 0; u < m; ++u) quad -= g[u] * g[u];
@@ -275,7 +272,7 @@ double SparseGaussianProcess::EvaluateFitcLml(
   // Serial inner build: EvaluateFitcLml itself runs inside the
   // restart ParallelFor.
   if (!BuildFitcParts(kernel, params, ind_s0_, ind_mm_, cross_s0_, cross_mm_,
-                      n_, m_, geometry_.num_cat > 0, kInducingJitter,
+                      ys_std_, n_, m_, geometry_.num_cat > 0, kInducingJitter,
                       /*num_threads=*/1, &parts)) {
     return -std::numeric_limits<double>::infinity();
   }
@@ -288,15 +285,13 @@ Status SparseGaussianProcess::FactorPredictor(const KernelParams& params) {
   for (int attempt = 0; attempt < 6; ++attempt) {
     FitcParts parts;
     if (BuildFitcParts(kernel, params, ind_s0_, ind_mm_, cross_s0_, cross_mm_,
-                       n_, m_, geometry_.num_cat > 0, jitter,
+                       ys_std_, n_, m_, geometry_.num_cat > 0, jitter,
                        options_.num_threads, &parts)) {
       // w = M^-1 B D^-1 y_std — the O(m) prediction vector — and the
       // FITC log marginal likelihood from the same intermediates.
       std::vector<double> g;
       lml_ = FitcLmlFromParts(parts, ys_std_, n_, m_, &g);
       lu_ = std::move(parts.lu);
-      b_ = std::move(parts.b);
-      fitc_inv_ = std::move(parts.d_inv);
       lm_ = std::move(parts.lm);
       w_.assign(m_, 0.0);
       TriangularSolveLowerTransposed(lm_, g.data(), w_.data());
@@ -465,23 +460,11 @@ void SparseGaussianProcess::PredictBatch(
           for (int c = 0; c < bm; ++c) a_row[c] = k_star.at(c, u);
         }
         TriangularSolveLowerMulti(lu_, &a);
-        std::vector<double> mu(bm, 0.0);
-        std::vector<double> sum_a(bm, 0.0);
-        for (int u = 0; u < m_; ++u) {
-          const double* a_row = a.Row(u);
-          double w_u = w_[u];
-          for (int c = 0; c < bm; ++c) {
-            mu[c] += a_row[c] * w_u;
-            sum_a[c] += a_row[c] * a_row[c];
-          }
-        }
+        std::vector<double> mu = a.ApplyTransposed(w_);
+        std::vector<double> sum_a = a.ColumnSumsOfSquares();
         Matrix cmat = a;
         TriangularSolveLowerMulti(lm_, &cmat);
-        std::vector<double> sum_c(bm, 0.0);
-        for (int u = 0; u < m_; ++u) {
-          const double* c_row = cmat.Row(u);
-          for (int c = 0; c < bm; ++c) sum_c[c] += c_row[c] * c_row[c];
-        }
+        std::vector<double> sum_c = cmat.ColumnSumsOfSquares();
         for (int c = 0; c < bm; ++c) {
           (*means)[lo + c] = mu[c] * y_std_ + y_mean_;
           double var_std = std::max(k_xx - sum_a[c] + sum_c[c], 1e-12);

@@ -122,8 +122,6 @@ class SparseGaussianProcess {
 
   KernelParams params_;
   Matrix lu_;                       // chol(K_uu + jitter), m x m
-  Matrix b_;                        // L_u^-1 K_uf, m x n
-  std::vector<double> fitc_inv_;    // 1 / (k_ii - q_ii + noise), n
   Matrix lm_;                       // chol(I + B D^-1 B^T), m x m
   std::vector<double> w_;           // M^-1 B D^-1 y_std, m
   double y_mean_ = 0.0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include "src/common/matrix.h"
@@ -298,23 +299,107 @@ TEST(FlatSolveTest, RoundTripSolvesSystem) {
   }
 }
 
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Every column of the tiled multi-solve against the one-column solve,
+// over row counts with n mod 4 = 0..3 (the last group of rows is
+// narrower) and every column count from 1 to 25 (one or two 12-wide
+// tiles followed by each 8-, 4- and 1-wide tail) plus the 128-column
+// candidate block and a 400-column FITC panel.
 TEST(FlatSolveTest, MultiRhsMatchesSingleSolvesBitForBit) {
+  std::vector<int> row_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 31};
+  std::vector<int> col_counts;
+  for (int m = 1; m <= 25; ++m) col_counts.push_back(m);
+  col_counts.push_back(128);
+  col_counts.push_back(400);
   Rng rng(3);
-  int n = 10, m = 7;
-  Matrix l = RandomSpd(n, &rng);
-  ASSERT_TRUE(CholeskyFactorInPlace(&l).ok());
-  Matrix rhs(n, m);
-  for (int i = 0; i < n; ++i) {
-    for (int c = 0; c < m; ++c) rhs.at(i, c) = rng.Gaussian();
+  for (int n : row_counts) {
+    Matrix l = RandomSpd(n, &rng);
+    ASSERT_TRUE(CholeskyFactorInPlace(&l).ok());
+    for (int m : col_counts) {
+      Matrix rhs(n, m);
+      for (int i = 0; i < n; ++i) {
+        for (int c = 0; c < m; ++c) rhs.at(i, c) = rng.Gaussian();
+      }
+      Matrix multi = rhs;
+      TriangularSolveLowerMulti(l, &multi);
+      std::vector<double> column(n), solved(n);
+      for (int c = 0; c < m; ++c) {
+        for (int i = 0; i < n; ++i) column[i] = rhs.at(i, c);
+        TriangularSolveLower(l, column.data(), solved.data());
+        for (int i = 0; i < n; ++i) {
+          ASSERT_TRUE(SameBits(multi.at(i, c), solved[i]))
+              << "n " << n << " m " << m << " col " << c << " row " << i;
+        }
+      }
+    }
   }
-  Matrix multi = rhs;
-  TriangularSolveLowerMulti(l, &multi);
-  std::vector<double> column(n), solved(n);
-  for (int c = 0; c < m; ++c) {
-    for (int i = 0; i < n; ++i) column[i] = rhs.at(i, c);
-    TriangularSolveLower(l, column.data(), solved.data());
-    for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(multi.at(i, c), solved[i]) << "col " << c << " row " << i;
+}
+
+// The tiled weighted Gram kernel against the naive triple loop, at
+// column counts around the 4-wide tiles and row counts from one to a
+// FITC-sized panel, serial and on the pool.
+TEST(WeightedGramTest, MatchesNaiveTripleLoopBitForBit) {
+  Rng rng(5);
+  for (int n : {1, 7, 400}) {
+    for (int m : {1, 3, 4, 5, 20, 63, 64, 65}) {
+      Matrix bt(n, m);
+      std::vector<double> w(n);
+      for (int i = 0; i < n; ++i) {
+        for (int u = 0; u < m; ++u) bt.at(i, u) = rng.Gaussian();
+        w[i] = 0.1 + rng.Uniform();
+      }
+      for (int threads : {1, 0}) {
+        constexpr double kUntouched = 7.5;
+        Matrix out(m, m, kUntouched);
+        WeightedGramLower(bt, w.data(), &out, threads);
+        for (int u = 0; u < m; ++u) {
+          for (int v = 0; v < m; ++v) {
+            if (v > u) {
+              ASSERT_EQ(out.at(u, v), kUntouched) << "upper (" << u << ","
+                                                  << v << ")";
+              continue;
+            }
+            double acc = 0.0;
+            for (int i = 0; i < n; ++i) acc += bt.at(i, u) * bt.at(i, v) * w[i];
+            ASSERT_TRUE(SameBits(out.at(u, v), acc))
+                << "n " << n << " m " << m << " threads " << threads << " ("
+                << u << "," << v << ")";
+          }
+        }
+      }
+    }
+  }
+}
+
+// The lane-wise column reductions against plain per-column loops, with
+// column counts on and off the 4-wide lanes.
+TEST(MatrixTest, ColumnReductionsMatchPerColumnLoopsBitForBit) {
+  Rng rng(9);
+  for (int rows : {1, 5, 33}) {
+    for (int cols = 1; cols <= 13; ++cols) {
+      Matrix a(rows, cols);
+      std::vector<double> x(rows);
+      for (int r = 0; r < rows; ++r) {
+        x[r] = rng.Gaussian();
+        for (int c = 0; c < cols; ++c) a.at(r, c) = rng.Gaussian();
+      }
+      std::vector<double> dot = a.ApplyTransposed(x);
+      std::vector<double> squares = a.ColumnSumsOfSquares();
+      ASSERT_EQ(dot.size(), static_cast<size_t>(cols));
+      ASSERT_EQ(squares.size(), static_cast<size_t>(cols));
+      for (int c = 0; c < cols; ++c) {
+        double dot_c = 0.0, squares_c = 0.0;
+        for (int r = 0; r < rows; ++r) {
+          dot_c += a.at(r, c) * x[r];
+          squares_c += a.at(r, c) * a.at(r, c);
+        }
+        ASSERT_TRUE(SameBits(dot[c], dot_c)) << rows << "x" << cols << " " << c;
+        ASSERT_TRUE(SameBits(squares[c], squares_c))
+            << rows << "x" << cols << " " << c;
+      }
     }
   }
 }

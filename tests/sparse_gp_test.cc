@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -7,8 +8,11 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/common/math_util.h"
+#include "src/common/matrix.h"
 #include "src/common/rng.h"
 #include "src/model/gp.h"
+#include "src/model/kernels.h"
 #include "src/model/sparse_gp.h"
 #include "src/optimizer/gp_bo.h"
 #include "src/optimizer/optimizer_registry.h"
@@ -179,6 +183,141 @@ TEST(SparseGpTest, DeterministicAtAnyThreadCount) {
   }
   ASSERT_TRUE(
       SameBits(a.log_marginal_likelihood(), b.log_marginal_likelihood()));
+}
+
+// The FITC fit rebuilt from one-column solves and naive loops, at an
+// inducing count that is not a multiple of the kernels' 4-wide tiles
+// and an n with n mod 4 = 1: the log marginal likelihood and every
+// predicted mean and variance must match bit for bit.
+TEST(SparseGpTest, MatchesNaiveFitcReferenceAtOddInducingCount) {
+  SearchSpace space({SearchDim::Continuous(0.0, 1.0),
+                     SearchDim::Continuous(-2.0, 2.0),
+                     SearchDim::Categorical(3)});
+  constexpr int n = 45;
+  constexpr int m = 13;
+  GpOptions options;
+  options.num_inducing = m;
+  SparseGaussianProcess gp(space, options, 11);
+  Rng rng(11);
+  std::vector<std::vector<double>> xs;
+  std::vector<double> ys;
+  for (int i = 0; i < n; ++i) {
+    xs.push_back({rng.Uniform(), rng.Uniform(-2, 2),
+                  static_cast<double>(rng.UniformInt(0, 2))});
+    ys.push_back(std::cos(4.0 * xs.back()[0]) + 0.5 * xs.back()[1] +
+                 0.3 * xs.back()[2]);
+  }
+  ASSERT_TRUE(gp.Fit(xs, ys).ok());
+  ASSERT_EQ(gp.num_inducing(), m);
+
+  // The model's geometry and kernel (2 continuous coordinates, so the
+  // squared distance is one left-to-right sum either way).
+  KernelSpaceCache geometry(space);
+  BoundKernel kernel(geometry, gp.params());
+  auto split = [&](const std::vector<double>& x) {
+    std::vector<double> cont(geometry.num_cont), cat(geometry.num_cat);
+    SplitPoint(geometry, x.data(), cont.data(), cat.data());
+    cont.insert(cont.end(), cat.begin(), cat.end());
+    return cont;
+  };
+  auto k = [&](const std::vector<double>& a, const std::vector<double>& b) {
+    double sq = 0.0;
+    for (int d = 0; d < geometry.num_cont; ++d) {
+      double diff = a[d] - b[d];
+      sq += diff * diff;
+    }
+    return kernel.FromPrecomputed(
+        std::sqrt(5.0 * sq),
+        CountMismatches(a.data() + geometry.num_cont,
+                        b.data() + geometry.num_cont, geometry.num_cat));
+  };
+  std::vector<std::vector<double>> pts, ind;
+  for (const auto& x : xs) pts.push_back(split(x));
+  for (int idx : gp.inducing_indices()) ind.push_back(pts[idx]);
+  double y_mean = Mean(ys);
+  double y_std = std::max(Stddev(ys), 1e-9);
+  std::vector<double> ys_std(n);
+  for (int i = 0; i < n; ++i) ys_std[i] = (ys[i] - y_mean) / y_std;
+  double noise = gp.params().noise_variance;
+
+  Matrix lu(m, m);
+  for (int u = 0; u < m; ++u) {
+    for (int v = 0; v <= u; ++v) lu.at(u, v) = k(ind[u], ind[v]);
+    lu.at(u, u) += 1e-8;  // the model's first inducing jitter
+  }
+  ASSERT_TRUE(CholeskyFactorInPlace(&lu).ok());
+  Matrix b(m, n);  // B = L_u^-1 K_uf, one column at a time
+  std::vector<double> col(m), solved(m);
+  for (int i = 0; i < n; ++i) {
+    for (int u = 0; u < m; ++u) col[u] = k(pts[i], ind[u]);
+    TriangularSolveLower(lu, col.data(), solved.data());
+    for (int u = 0; u < m; ++u) b.at(u, i) = solved[u];
+  }
+  double k_ii = kernel.FromDistance(0.0, 0.0);
+  std::vector<double> d_inv(n);
+  double sum_log_d = 0.0;
+  for (int i = 0; i < n; ++i) {
+    double q = 0.0;
+    for (int u = 0; u < m; ++u) q += b.at(u, i) * b.at(u, i);
+    double d = std::max(k_ii - q + noise, 1e-12);
+    d_inv[i] = 1.0 / d;
+    sum_log_d += std::log(d);
+  }
+  Matrix lm(m, m);
+  for (int u = 0; u < m; ++u) {
+    for (int v = 0; v <= u; ++v) {
+      double acc = 0.0;
+      for (int i = 0; i < n; ++i) acc += b.at(u, i) * b.at(v, i) * d_inv[i];
+      lm.at(u, v) = acc;
+    }
+    lm.at(u, u) += 1.0;
+  }
+  ASSERT_TRUE(CholeskyFactorInPlace(&lm).ok());
+  std::vector<double> r(m), g(m), w(m);
+  for (int u = 0; u < m; ++u) {
+    double acc = 0.0;
+    for (int i = 0; i < n; ++i) acc += b.at(u, i) * d_inv[i] * ys_std[i];
+    r[u] = acc;
+  }
+  TriangularSolveLower(lm, r.data(), g.data());
+  TriangularSolveLowerTransposed(lm, g.data(), w.data());
+  double quad = 0.0;
+  for (int i = 0; i < n; ++i) quad += ys_std[i] * ys_std[i] * d_inv[i];
+  for (int u = 0; u < m; ++u) quad -= g[u] * g[u];
+  double logdet = sum_log_d;
+  for (int u = 0; u < m; ++u) logdet += 2.0 * std::log(lm.at(u, u));
+  double lml = -0.5 * quad - 0.5 * logdet -
+               0.5 * static_cast<double>(n) *
+                   std::log(2.0 * 3.14159265358979323846);
+  EXPECT_TRUE(SameBits(gp.log_marginal_likelihood(), lml))
+      << gp.log_marginal_likelihood() << " vs " << lml;
+
+  // 150 queries: one full 128-candidate block and a 22-column one.
+  std::vector<std::vector<double>> queries;
+  for (int i = 0; i < 150; ++i) {
+    queries.push_back({rng.Uniform(), rng.Uniform(-2, 2),
+                       static_cast<double>(rng.UniformInt(0, 2))});
+  }
+  std::vector<double> means, variances;
+  gp.PredictBatch(queries, &means, &variances);
+  double k_xx = k_ii + noise;
+  std::vector<double> a(m), c(m);
+  for (size_t q = 0; q < queries.size(); ++q) {
+    std::vector<double> x = split(queries[q]);
+    for (int u = 0; u < m; ++u) col[u] = k(x, ind[u]);
+    TriangularSolveLower(lu, col.data(), a.data());
+    TriangularSolveLower(lm, a.data(), c.data());
+    double mu = 0.0, sum_a = 0.0, sum_c = 0.0;
+    for (int u = 0; u < m; ++u) {
+      mu += a[u] * w[u];
+      sum_a += a[u] * a[u];
+      sum_c += c[u] * c[u];
+    }
+    double mean = mu * y_std + y_mean;
+    double variance = std::max(k_xx - sum_a + sum_c, 1e-12) * (y_std * y_std);
+    ASSERT_TRUE(SameBits(means[q], mean)) << "query " << q;
+    ASSERT_TRUE(SameBits(variances[q], variance)) << "query " << q;
+  }
 }
 
 // Property: finite predictions, non-negative variance, across seeds.
