@@ -23,8 +23,11 @@
 // Emits BENCH_largen.json in the layout of bench/bench_json.h:
 //   metrics  exact_/sparse_per_iter_seconds[n=N] (wall-clock) and
 //            sparse_evals_to_98pct[iters=I,seeds=S] (deterministic)
-//   info     per-n speedup, the quality grid's mean final bests,
-//            relative gap and evals-to-target, and peak_rss_mb
+//   info     per-n speedup; per-n one-core times of the dense parts
+//            of a suggestion (k* build, k* multi-solve, restart
+//            Cholesky, FITC B solve, FITC M build), so a speedup can
+//            name the part it moved; the quality grid's mean final
+//            bests, relative gap and evals-to-target, and peak_rss_mb
 //            (process ru_maxrss after both parts)
 //
 // Usage: bm_largen [--max-n=N] [--grid-iterations=I] [--grid-seeds=S]
@@ -33,6 +36,7 @@
 //        quality metric names embed (iterations, seeds), so mismatched
 //        settings silently compare nothing).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -44,7 +48,9 @@
 
 #include "bench/bench_common.h"
 #include "bench/bench_json.h"
+#include "src/common/clock.h"
 #include "src/common/math_util.h"
+#include "src/common/matrix.h"
 #include "src/common/rng.h"
 #include "src/model/acquisition.h"
 #include "src/model/gp.h"
@@ -98,11 +104,94 @@ double MeasureWindow(const SearchSpace& space, Model* model, int n) {
   return (NowSeconds() - t0) / kWindow;
 }
 
+/// One core's time for each dense part of a suggestion at size n, in
+/// microseconds (median of kPartReps runs of the library kernel alone):
+/// the exact model's k* build and multi-solve for one 128-candidate
+/// block and the Cholesky each restart factors; the sparse model's
+/// B = L_u^-1 K_uf solve and M = B D^-1 B^T build at m = 64.
+struct PartTimes {
+  double kstar_build_us = 0.0;
+  double kstar_solve_us = 0.0;
+  double restart_cholesky_us = 0.0;
+  double fitc_b_solve_us = 0.0;
+  double fitc_m_us = 0.0;
+};
+
+constexpr int kPartReps = 7;
+constexpr int kPredictBlock = 128;  // PredictBatch's candidate block
+
+/// Median over kPartReps of `run()`, each after an untimed `setup()`.
+template <typename Setup, typename Run>
+double MedianMicros(Setup setup, Run run) {
+  std::vector<double> seconds;
+  for (int rep = 0; rep < kPartReps; ++rep) {
+    setup();
+    double t0 = NowSeconds();
+    run();
+    seconds.push_back(NowSeconds() - t0);
+  }
+  return Percentile(seconds, 50.0) * 1e6;
+}
+
+/// `exact` must be fitted on exactly xs[0, n).
+PartTimes MeasureParts(const SearchSpace& space, const GaussianProcess& exact,
+                       const std::vector<std::vector<double>>& xs, int n) {
+  Rng cand_rng(HashCombine(9100, static_cast<uint64_t>(n)));
+  std::vector<std::vector<double>> candidates;
+  for (int c = 0; c < kPredictBlock; ++c) {
+    candidates.push_back(DrawPoint(space, &cand_rng));
+  }
+  PartTimes t;
+  Matrix k_star;
+  t.kstar_build_us = MedianMicros(
+      [] {}, [&] { k_star = exact.KStarBlock(candidates, 0, kPredictBlock); });
+
+  // The Gram matrix a restart factors: k(X, X) plus the noise nugget.
+  Matrix gram = exact.KStarBlock(xs, 0, n);
+  for (int i = 0; i < n; ++i) {
+    gram.at(i, i) += exact.params().noise_variance + 1e-6;
+  }
+  Matrix chol;
+  Status factored;
+  t.restart_cholesky_us = MedianMicros(
+      [&] { chol = gram; }, [&] { factored = CholeskyFactorInPlace(&chol); });
+  if (!factored.ok()) std::abort();
+  Matrix v;
+  t.kstar_solve_us = MedianMicros(
+      [&] { v = k_star; }, [&] { TriangularSolveLowerMulti(chol, &v); });
+
+  // FITC with the first m points as the inducing set.
+  int m = std::min(kScalingNumInducing, n);
+  Matrix lu(m, m);
+  for (int u = 0; u < m; ++u) {
+    for (int w = 0; w <= u; ++w) lu.at(u, w) = gram.at(u, w);
+  }
+  if (!CholeskyFactorInPlace(&lu).ok()) std::abort();
+  Matrix b(m, n);
+  for (int u = 0; u < m; ++u) {
+    for (int i = 0; i < n; ++i) b.at(u, i) = gram.at(i, u);
+  }
+  t.fitc_b_solve_us = MedianMicros(
+      [&] { v = b; }, [&] { TriangularSolveLowerMulti(lu, &v); });
+  Matrix bt(n, m);
+  for (int u = 0; u < m; ++u) {
+    for (int i = 0; i < n; ++i) bt.at(i, u) = v.at(u, i);
+  }
+  std::vector<double> d_inv(n);
+  for (int i = 0; i < n; ++i) d_inv[i] = 1.0 / (1.0 + 0.01 * i);
+  Matrix gram_m(m, m);
+  t.fitc_m_us = MedianMicros([] {}, [&] {
+    WeightedGramLower(bt, d_inv.data(), &gram_m, /*num_threads=*/1);
+  });
+  return t;
+}
+
 struct ScalingEntry {
   int n = 0;
   double exact_per_iter_seconds = 0.0;
   double sparse_per_iter_seconds = 0.0;
   double speedup = 0.0;
+  PartTimes parts;
 };
 
 ScalingEntry MeasureAtN(const SearchSpace& space, int n) {
@@ -123,6 +212,7 @@ ScalingEntry MeasureAtN(const SearchSpace& space, int n) {
     GaussianProcess exact(space, options, 1);
     for (int i = 0; i < n; ++i) exact.AddObservation(xs[i], ys[i]);
     if (!exact.Refit().ok()) std::abort();  // warm-up (full reopt)
+    entry.parts = MeasureParts(space, exact, xs, n);
     entry.exact_per_iter_seconds = MeasureWindow(space, &exact, n);
   }
   {
@@ -228,6 +318,12 @@ int main(int argc, char** argv) {
                 "speedup %5.1fx\n",
                 e.n, e.exact_per_iter_seconds * 1e3,
                 e.sparse_per_iter_seconds * 1e3, e.speedup);
+    std::printf("[largen] n=%4d  parts (us, 1 core): k* build %.1f  "
+                "k* solve %.1f  restart Cholesky %.1f  FITC B %.1f  "
+                "FITC M %.1f\n",
+                e.n, e.parts.kstar_build_us, e.parts.kstar_solve_us,
+                e.parts.restart_cholesky_us, e.parts.fitc_b_solve_us,
+                e.parts.fitc_m_us);
   }
 
   std::printf("[largen] quality grid (%d iterations, %d seeds)...\n",
@@ -263,6 +359,15 @@ int main(int argc, char** argv) {
     json.Metric(bench::Format("sparse_per_iter_seconds[n=%d]", e.n),
                 e.sparse_per_iter_seconds, false);
     json.Info(bench::Format("speedup[n=%d]", e.n), e.speedup);
+    json.Info(bench::Format("kstar_build_us[n=%d]", e.n),
+              e.parts.kstar_build_us);
+    json.Info(bench::Format("kstar_solve_us[n=%d]", e.n),
+              e.parts.kstar_solve_us);
+    json.Info(bench::Format("restart_cholesky_us[n=%d]", e.n),
+              e.parts.restart_cholesky_us);
+    json.Info(bench::Format("fitc_b_solve_us[n=%d]", e.n),
+              e.parts.fitc_b_solve_us);
+    json.Info(bench::Format("fitc_m_us[n=%d]", e.n), e.parts.fitc_m_us);
   }
   json.Metric(bench::Format("sparse_evals_to_98pct[iters=%d,seeds=%d]",
                             grid_iterations, grid_seeds),
