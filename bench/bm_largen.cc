@@ -74,34 +74,42 @@ double PeakRssMb() {
 
 constexpr int kCandidates = 550;
 constexpr int kWindow = 5;  // one reopt boundary per window (interval 5)
+constexpr int kWindowReps = 5;  // windows per model; the median is kept
 constexpr int kScalingNumInducing = 64;   // sparse arm of the scaling rows
 constexpr int kQualitySparseThreshold = 16;  // quality-grid sparse arm
 constexpr int kQualityNumInducing = 20;
 
-/// Measured suggest-loop window at size n for one model. `model` must
-/// already hold n observations and be warm-fitted; the window then
-/// runs kWindow full iterations (observe + refit + score). Returns
-/// mean seconds per iteration.
+/// Measured suggest-loop windows at size n for one model. `warm` must
+/// already hold n observations and be warm-fitted; each of kWindowReps
+/// windows runs kWindow full iterations (observe + refit + score) on a
+/// fresh copy of it, so every window times the same work. Returns the
+/// median window's seconds per iteration: one window alone swings by a
+/// quarter between runs of one binary.
 template <typename Model>
-double MeasureWindow(const SearchSpace& space, Model* model, int n) {
-  Rng data_rng(HashCombine(7777, static_cast<uint64_t>(n)));
-  double t0 = NowSeconds();
-  for (int w = 0; w < kWindow; ++w) {
-    std::vector<double> x = DrawPoint(space, &data_rng);
-    model->AddObservation(x, SyntheticObjective(x));
-    if (!model->Refit().ok()) std::abort();
-    Rng cand_rng(HashCombine(9000, static_cast<uint64_t>(n * 10 + w)));
-    std::vector<std::vector<double>> candidates;
-    candidates.reserve(kCandidates);
-    for (int c = 0; c < kCandidates; ++c) {
-      candidates.push_back(DrawPoint(space, &cand_rng));
+double MeasureWindow(const SearchSpace& space, const Model& warm, int n) {
+  std::vector<double> per_iter;
+  for (int rep = 0; rep < kWindowReps; ++rep) {
+    Model model = warm;
+    Rng data_rng(HashCombine(7777, static_cast<uint64_t>(n)));
+    double t0 = NowSeconds();
+    for (int w = 0; w < kWindow; ++w) {
+      std::vector<double> x = DrawPoint(space, &data_rng);
+      model.AddObservation(x, SyntheticObjective(x));
+      if (!model.Refit().ok()) std::abort();
+      Rng cand_rng(HashCombine(9000, static_cast<uint64_t>(n * 10 + w)));
+      std::vector<std::vector<double>> candidates;
+      candidates.reserve(kCandidates);
+      for (int c = 0; c < kCandidates; ++c) {
+        candidates.push_back(DrawPoint(space, &cand_rng));
+      }
+      std::vector<double> means, variances;
+      model.PredictBatch(candidates, &means, &variances);
+      int pick = ArgmaxExpectedImprovement(means, variances, 0.0);
+      if (pick < 0) std::abort();
     }
-    std::vector<double> means, variances;
-    model->PredictBatch(candidates, &means, &variances);
-    int pick = ArgmaxExpectedImprovement(means, variances, 0.0);
-    if (pick < 0) std::abort();
+    per_iter.push_back((NowSeconds() - t0) / kWindow);
   }
-  return (NowSeconds() - t0) / kWindow;
+  return Percentile(per_iter, 50.0);
 }
 
 /// One core's time for each dense part of a suggestion at size n, in
@@ -213,7 +221,7 @@ ScalingEntry MeasureAtN(const SearchSpace& space, int n) {
     for (int i = 0; i < n; ++i) exact.AddObservation(xs[i], ys[i]);
     if (!exact.Refit().ok()) std::abort();  // warm-up (full reopt)
     entry.parts = MeasureParts(space, exact, xs, n);
-    entry.exact_per_iter_seconds = MeasureWindow(space, &exact, n);
+    entry.exact_per_iter_seconds = MeasureWindow(space, exact, n);
   }
   {
     GpOptions sparse_options = options;
@@ -221,7 +229,7 @@ ScalingEntry MeasureAtN(const SearchSpace& space, int n) {
     SparseGaussianProcess sparse(space, sparse_options, 1);
     for (int i = 0; i < n; ++i) sparse.AddObservation(xs[i], ys[i]);
     if (!sparse.Refit().ok()) std::abort();
-    entry.sparse_per_iter_seconds = MeasureWindow(space, &sparse, n);
+    entry.sparse_per_iter_seconds = MeasureWindow(space, sparse, n);
   }
   entry.speedup = entry.exact_per_iter_seconds /
                   std::max(entry.sparse_per_iter_seconds, 1e-12);
@@ -345,6 +353,7 @@ int main(int argc, char** argv) {
   // — recorded so a baseline drift can be traced to the right arm.
   json.Config("candidates", kCandidates);
   json.Config("window", kWindow);
+  json.Config("window_reps", kWindowReps);
   json.Config("num_inducing", kScalingNumInducing);
   json.Config("grid_iterations", grid_iterations);
   json.Config("grid_seeds", grid_seeds);

@@ -50,6 +50,11 @@ Rules (see docs/static-analysis.md for the rationale table):
                   records are appended only by TuningService, under
                   the session lock, so the log order is the commit
                   order.
+  session-files-outside-service
+                  AtomicWriteFile( / ReadFile( / opendir( / unlink( or
+                  a ".autosave" literal anywhere in src/ outside
+                  src/service/ and src/common/file_io — a session's
+                  files have one owner, the service's SessionStore.
 
 Escape hatch: a finding is suppressed when the offending line, or the
 line directly above it, carries `lint:allow(<rule>)` in a comment.
@@ -159,6 +164,17 @@ RULES = [
         "allow": ("src/service/",),
         "why": "WAL records are appended only by the service, under the "
                "session lock",
+    },
+    {
+        "name": "session-files-outside-service",
+        "pattern": re.compile(
+            r"\b(?:AtomicWriteFile|ReadFile|opendir|unlink)\s*\("
+            r'|\.autosave"'
+        ),
+        "only": ("src/",),
+        "allow": ("src/service/", "src/common/file_io."),
+        "why": "a session's files have one owner, the service's "
+               "SessionStore",
     },
 ]
 

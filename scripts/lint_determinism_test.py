@@ -62,6 +62,7 @@ class EndToEndTest(unittest.TestCase):
             ("src/bad_thread.cc", "raw-thread"),
             ("src/net/bad_token_parse.cc", "raw-token-parse"),
             ("src/net/bad_wal.cc", "wal-outside-service"),
+            ("src/net/bad_session_files.cc", "session-files-outside-service"),
         }
         self.assertEqual(expected, self.findings, self.proc.stdout)
 
@@ -80,6 +81,11 @@ class EndToEndTest(unittest.TestCase):
     def test_service_may_own_the_wal(self):
         files = {path for path, _ in self.findings}
         self.assertNotIn("src/service/trial_wal.cc", files)
+
+    def test_service_and_file_io_may_own_session_files(self):
+        files = {path for path, _ in self.findings}
+        self.assertNotIn("src/service/session_store.cc", files)
+        self.assertNotIn("src/common/file_io.cc", files)
 
     def test_escape_hatch_suppresses(self):
         files = {path for path, _ in self.findings}

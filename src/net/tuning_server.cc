@@ -1,12 +1,10 @@
 #include "src/net/tuning_server.h"
 
 #include <arpa/inet.h>
-#include <dirent.h>
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,7 +18,6 @@
 
 #include "src/common/clock.h"
 #include "src/common/fault_injection.h"
-#include "src/common/file_io.h"
 #include "src/common/rng.h"
 #include "src/common/serde.h"
 #include "src/common/thread_pool.h"
@@ -67,7 +64,7 @@ std::string MalformedReplyFrame(const Status& status) {
 /// health probes, ping, and unknown kinds (whose kUnknownKind reply
 /// costs nothing) — is cheap and keeps working while the server drains
 /// or sheds. kClose is expensive on purpose: a drain must not let a
-/// close unlink the autosave the successor will resume from.
+/// close delete the autosave the successor will resume from.
 bool IsExpensiveKind(MessageKind kind) {
   switch (kind) {
     case MessageKind::kCreateSession:
@@ -105,7 +102,7 @@ std::string TenantFromAutosaveHeader(const std::string& header) {
 TuningServer::Conn::~Conn() { ::close(fd); }
 
 TuningServer::TuningServer(TuningServerOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)), service_(options_.autosave_dir) {}
 
 TuningServer::~TuningServer() { Stop(); }
 
@@ -113,15 +110,12 @@ Status TuningServer::Start() {
   if (lifecycle() != ServerLifecycle::kStopped) {
     return Status::FailedPrecondition("server: already running");
   }
+  // Listing the saved sessions also checks that the directory is usable.
+  std::vector<std::string> saved;
   if (!options_.autosave_dir.empty()) {
-    ::mkdir(options_.autosave_dir.c_str(), 0755);
-    struct stat sb;
-    if (::stat(options_.autosave_dir.c_str(), &sb) != 0 ||
-        !S_ISDIR(sb.st_mode)) {
-      return Status::InvalidArgument("server: autosave dir '" +
-                                     options_.autosave_dir +
-                                     "' is not a usable directory");
-    }
+    Result<std::vector<std::string>> listed = service_.store().List();
+    if (!listed.ok()) return listed.status();
+    if (options_.resume_saved_on_start) saved = std::move(listed).ValueOrDie();
   }
 
   sockaddr_in addr;
@@ -174,8 +168,11 @@ Status TuningServer::Start() {
   // Hot restart: revive the predecessor's drained sessions before the
   // first connection can arrive, so a client's first GetStatus already
   // sees them.
-  if (options_.resume_saved_on_start && !options_.autosave_dir.empty()) {
-    ResumeSavedStartupSweep();
+  for (const std::string& name : saved) {
+    if (service_.GetStatus(name).ok()) continue;  // already live
+    if (ResumeSavedSession(name, nullptr).ok()) {
+      sessions_restored_.fetch_add(1);
+    }
   }
   lifecycle_.store(static_cast<int>(ServerLifecycle::kRunning));
   // lint:allow(raw-thread) — dedicated poll-loop thread (see header)
@@ -224,9 +221,9 @@ void TuningServer::Stop() {
   if (FaultInjection::ShouldFail("drain.slow")) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
-  if (!options_.autosave_dir.empty()) {
+  {
     MutexLock lock(maintenance_mu_);
-    AutosaveSweep();
+    service_.PersistChanged();
   }
   conns_.clear();
   if (listen_fd_ >= 0) {
@@ -311,7 +308,7 @@ void TuningServer::EventLoop() {
     now = NowUnixMillis();
     if (now >= next_autosave) {
       MutexLock lock(maintenance_mu_);
-      AutosaveSweep();
+      service_.PersistChanged();
       next_autosave = now + autosave_period;
     }
     if (now >= next_evict) {
@@ -581,7 +578,7 @@ std::string TuningServer::HandleRequest(const ConnPtr& conn,
       if (!parse.ok()) return MalformedReplyFrame(parse);
       return StatusReplyFrame(AddSession(name, wire, conn->Tenant(),
                                          create ? nullptr : &checkpoint,
-                                         false));
+                                         nullptr));
     }
     case MessageKind::kResumeSaved: {
       Result<std::string> name = DecodeNameOnly(frame.payload);
@@ -721,7 +718,7 @@ WireServerStats TuningServer::Stats() const {
   stats.shed_overload = shed_overload_.load();
   stats.shed_deadline = shed_deadline_.load();
   stats.sessions_evicted = sessions_evicted_.load();
-  stats.autosaves_written = autosaves_written_.load();
+  stats.autosaves_written = service_.store().autosaves_written();
   stats.sessions_restored = sessions_restored_.load();
   {
     MutexLock lock(meta_mu_);
@@ -773,20 +770,30 @@ int64_t TuningServer::DrainRetryHintMs(int64_t now_unix_ms) const {
 Status TuningServer::AddSession(const std::string& name,
                                 const WireSessionSpec& wire,
                                 const std::string& tenant,
-                                const std::string* checkpoint, bool recover) {
+                                const std::string* checkpoint,
+                                const std::string* saved_header) {
   auto meta = std::make_shared<SessionMeta>();
-  meta->spec = wire;
   meta->tenant = tenant;
   service::SessionSpec spec;
-  LT_RETURN_NOT_OK(BuildSessionSpec(name, wire, &meta->owned_space, &spec));
+  LT_RETURN_NOT_OK(BuildSessionSpec(wire, &meta->owned_space, &spec));
   LT_RETURN_NOT_OK(ReserveTenantSlot(tenant));
-  Status added = checkpoint == nullptr ? service_.CreateSession(name, spec)
-                 : recover ? service_.Recover(name, spec, *checkpoint)
-                           : service_.Resume(name, spec, *checkpoint);
+  // The autosave header: the spec line plus a trailing tenant token,
+  // so a hot-restart sweep can rebuild ownership (DecodeSessionSpec
+  // stops at the spec, so pre-token readers still load the file).
+  const std::string header =
+      EncodeSessionSpec(wire) + " tenant x" + EncodeBytes(tenant);
+  Status added =
+      checkpoint == nullptr ? service_.CreateSession(name, spec, header)
+      : saved_header != nullptr
+          ? service_.Recover(name, spec, *checkpoint, header,
+                             header == *saved_header)
+          : service_.Resume(name, spec, *checkpoint, header);
   if (!added.ok()) {
     ReleaseTenantSlot(tenant);
     return added;
   }
+  // This may replace the meta of a same-named session whose close has
+  // not finished yet; that close releases its slot.
   MutexLock lock(meta_mu_);
   metas_[name] = std::move(meta);
   return Status::OK();
@@ -794,70 +801,28 @@ Status TuningServer::AddSession(const std::string& name,
 
 Status TuningServer::ResumeSavedSession(const std::string& name,
                                         const std::string* tenant_override) {
-  if (options_.autosave_dir.empty()) {
-    return Status::FailedPrecondition("server: autosave is not configured");
-  }
-  Result<std::string> content = ReadFile(AutosavePath(name));
-  if (!content.ok()) {
-    return Status::NotFound("server: no autosave for session '" + name + "'");
-  }
-  const std::string& text = *content;
-  size_t newline = text.find('\n');
-  if (newline == std::string::npos) {
-    return Status::Internal("server: corrupt autosave for '" + name + "'");
-  }
-  const std::string header = text.substr(0, newline);
-  Result<WireSessionSpec> wire = DecodeSessionSpec(header);
+  Result<service::SavedSession> saved = service_.store().Load(name);
+  if (!saved.ok()) return saved.status();
+  Result<WireSessionSpec> wire = DecodeSessionSpec(saved->header);
   if (!wire.ok()) return wire.status();
-  const std::string checkpoint = text.substr(newline + 1);
   // The autosave restored every committed round; the WAL tail holds
   // whatever was told after that snapshot, and is replayed before the
   // session becomes visible, so the caller sees the post-crash state.
   return AddSession(name, *wire,
                     tenant_override != nullptr
                         ? *tenant_override
-                        : TenantFromAutosaveHeader(header),
-                    &checkpoint, true);
-}
-
-void TuningServer::ResumeSavedStartupSweep() {
-  DIR* dir = ::opendir(options_.autosave_dir.c_str());
-  if (dir == nullptr) return;
-  std::vector<std::string> names;
-  for (dirent* entry = ::readdir(dir); entry != nullptr;
-       entry = ::readdir(dir)) {
-    const std::string file = entry->d_name;
-    const std::string suffix = ".autosave";
-    if (file.size() <= suffix.size() ||
-        file.compare(file.size() - suffix.size(), suffix.size(), suffix) !=
-            0) {
-      continue;
-    }
-    TokenReader in(
-        std::string_view(file).substr(0, file.size() - suffix.size()));
-    std::string name;
-    in.Hex(name);
-    if (in.ok()) names.push_back(std::move(name));
-  }
-  ::closedir(dir);
-  // Directory order is filesystem-dependent; sorted order makes the
-  // sweep (and any quota contention inside it) deterministic.
-  std::sort(names.begin(), names.end());
-  for (const std::string& name : names) {
-    if (service_.GetStatus(name).ok()) continue;  // already live
-    if (ResumeSavedSession(name, nullptr).ok()) {
-      sessions_restored_.fetch_add(1);
-    }
-  }
+                        : TenantFromAutosaveHeader(saved->header),
+                    &saved->checkpoint, &saved->header);
 }
 
 std::string TuningServer::HandleStartDrive(const std::string& name) {
   MetaPtr meta = MetaFor(name);
-  if (meta == nullptr) {
+  Result<service::SessionStatus> status = service_.GetStatus(name);
+  if (meta == nullptr || !status.ok()) {
     return ErrorReplyFrame(
         Status::SessionNotFound("server: no session '" + name + "'"));
   }
-  if (meta->spec.workload.empty()) {
+  if (status->external) {
     return ErrorReplyFrame(Status::FailedPrecondition(
         "server: session '" + name +
         "' is caller-driven (space source); use Ask/Tell"));
@@ -889,13 +854,23 @@ void TuningServer::DriveStep(const std::string& name, MetaPtr meta) {
 }
 
 std::string TuningServer::HandleClose(const std::string& name) {
-  Result<SessionResult> closed = service_.Close(name);
-  if (!closed.ok()) return ErrorReplyFrame(closed.status());
-  if (ForgetMeta(name) && !options_.autosave_dir.empty()) {
-    // Explicit close: done for good — drop both recovery artifacts.
-    ::unlink(AutosavePath(name).c_str());
-    ::unlink(WalPath(name).c_str());
+  MetaPtr meta = ClaimMeta(name);
+  if (meta == nullptr) {
+    return ErrorReplyFrame(
+        Status::SessionNotFound("server: no session '" + name + "'"));
   }
+  // Explicit close: done for good, so the service deletes both files.
+  Result<SessionResult> closed = service_.Close(name);
+  // Chaos hook: the close stalls after the name is free in the service
+  // and before its meta is dropped, the window in which a same-named
+  // create can land. Holds until fault injection is reset (at most 5 s).
+  if (FaultInjection::ShouldFail("close.pause")) {
+    for (int ms = 0; ms < 5000 && FaultInjection::enabled(); ++ms) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ForgetMeta(name, meta);
+  if (!closed.ok()) return ErrorReplyFrame(closed.status());
   WireCloseResult result;
   result.iterations_run = closed->iterations_run;
   result.best_performance = closed->best_performance;
@@ -903,8 +878,7 @@ std::string TuningServer::HandleClose(const std::string& name) {
   return EncodeFrame(MessageKind::kClosedReply, EncodeClosedReply(result));
 }
 
-Status TuningServer::BuildSessionSpec(const std::string& name,
-                                      const WireSessionSpec& wire,
+Status TuningServer::BuildSessionSpec(const WireSessionSpec& wire,
                                       std::unique_ptr<ConfigSpace>* owned_space,
                                       service::SessionSpec* out) const {
   if (!wire.workload.empty()) {
@@ -920,7 +894,6 @@ Status TuningServer::BuildSessionSpec(const std::string& name,
     out->maximize = wire.maximize;
   }
   static_cast<harness::TunerConfig&>(*out) = wire;
-  if (!options_.autosave_dir.empty()) out->wal_path = WalPath(name);
   return Status::OK();
 }
 
@@ -946,69 +919,19 @@ void TuningServer::ReleaseTenantSlot(const std::string& tenant) {
   }
 }
 
-std::string TuningServer::AutosavePath(const std::string& name) const {
-  // Hex-encode the session name so arbitrary names can't escape the
-  // autosave directory or collide with each other's files.
-  return options_.autosave_dir + "/" + EncodeBytes(name) + ".autosave";
-}
-
-std::string TuningServer::WalPath(const std::string& name) const {
-  return options_.autosave_dir + "/" + EncodeBytes(name) + ".wal";
-}
-
-Status TuningServer::AutosaveSession(const std::string& name,
-                                     const MetaPtr& meta) {
-  if (options_.autosave_dir.empty()) return Status::OK();
-  // The tenant rides as a trailing token on the spec line so a
-  // hot-restart sweep can rebuild ownership; DecodeSessionSpec stops
-  // at the spec, so pre-token readers still load the file.
-  const std::string header = EncodeSessionSpec(meta->spec) + " tenant x" +
-                             EncodeBytes(meta->tenant) + '\n';
-  const std::string path = AutosavePath(name);
-  // The service runs this under the session lock and truncates the
-  // WAL only after it returns OK, so the log shrinks only once the
-  // checkpoint is durable.
-  return service_.PersistCheckpoint(
-      name, [this, &meta, &header, &path](const std::string& checkpoint) {
-        const std::string content = header + checkpoint;
-        // Sweeps visit every live session on the event-loop thread and
-        // a durable write costs two fsyncs, so a file this server
-        // already wrote durably is rewritten only when its bytes
-        // change. Chaos hook "autosave.torn": die mid-write. The
-        // previous autosave must stay untouched and fully loadable,
-        // and the WAL untruncated.
-        if (meta->autosave_durable.load()) {
-          Result<std::string> on_disk = ReadFile(path);
-          if (on_disk.ok() && *on_disk == content) return Status::OK();
-        }
-        meta->autosave_durable.store(false);
-        LT_RETURN_NOT_OK(
-            AtomicWriteFile(path, content, "autosave.torn",
-                            [this] { autosaves_written_.fetch_add(1); }));
-        meta->autosave_durable.store(true);
-        return Status::OK();
-      });
-}
-
-void TuningServer::AutosaveSweep() {
-  for (const auto& [name, meta] : Metas()) AutosaveSession(name, meta).ok();
-}
-
 void TuningServer::EvictionSweep() {
   if (options_.idle_eviction_ms <= 0) return;
   int64_t now = NowUnixMillis();
   for (const service::SessionStatus& status : service_.ListSessions()) {
-    MetaPtr meta = MetaFor(status.name);
-    // The server only evicts sessions it created over the wire.
-    if (meta == nullptr || meta->driving.load()) continue;
     if (now - status.last_activity_unix_ms < options_.idle_eviction_ms) {
       continue;
     }
-    AutosaveSession(status.name, meta).ok();
-    if (service_.Close(status.name).ok()) {
-      sessions_evicted_.fetch_add(1);
-      ForgetMeta(status.name);
-    }
+    MetaPtr meta = ClaimMeta(status.name, /*unless_driving=*/true);
+    // The server only evicts sessions it created over the wire.
+    if (meta == nullptr) continue;
+    // The service persists the session and keeps both files.
+    if (service_.Evict(status.name).ok()) sessions_evicted_.fetch_add(1);
+    ForgetMeta(status.name, meta);
   }
 }
 
@@ -1018,28 +941,29 @@ TuningServer::MetaPtr TuningServer::MetaFor(const std::string& name) const {
   return it == metas_.end() ? nullptr : it->second;
 }
 
-std::map<std::string, TuningServer::MetaPtr> TuningServer::Metas() const {
-  MutexLock lock(meta_mu_);
-  return metas_;
+TuningServer::MetaPtr TuningServer::ClaimMeta(const std::string& name,
+                                              bool unless_driving) {
+  MetaPtr meta = MetaFor(name);
+  if (meta == nullptr || (unless_driving && meta->driving.load()) ||
+      meta->closing.exchange(true)) {
+    return nullptr;
+  }
+  return meta;
 }
 
-bool TuningServer::ForgetMeta(const std::string& name) {
-  MetaPtr meta;
+void TuningServer::ForgetMeta(const std::string& name, const MetaPtr& meta) {
   {
     MutexLock lock(meta_mu_);
     auto it = metas_.find(name);
-    if (it == metas_.end()) return false;
-    meta = std::move(it->second);
-    metas_.erase(it);
+    if (it != metas_.end() && it->second == meta) metas_.erase(it);
   }
   ReleaseTenantSlot(meta->tenant);
-  return true;
 }
 
 void TuningServer::RunMaintenance() {
   MutexLock lock(maintenance_mu_);
   service_.ExpireOverdue(NowUnixMillis());
-  AutosaveSweep();
+  service_.PersistChanged();
   EvictionSweep();
 }
 

@@ -50,25 +50,26 @@ struct TuningServerOptions {
   /// polls and checkpoints don't count) for this long are autosaved
   /// (if autosave_dir is set) and closed; 0 disables eviction.
   int64_t idle_eviction_ms = 0;
-  /// Directory for autosave snapshots (created by Start if missing);
-  /// empty disables autosave. Each wire-created session periodically
-  /// saves to <hex(name)>.autosave — spec line + checkpoint text — and
-  /// can be revived by ResumeSaved after a crash or eviction.
-  ///
-  /// When set, every wire-created session additionally keeps a
-  /// per-tell write-ahead log at <hex(name)>.wal (SessionSpec::wal_path):
-  /// each committed ask/tell/expire/step — background drive steps
-  /// included — appends one fsync'd record, and ResumeSaved replays the
-  /// WAL tail on top of the last autosave, bounding data loss after a
-  /// crash to at most the request in flight (see docs/resilience.md).
+  /// The service's session store (created if missing; see
+  /// service::SessionStore); empty disables autosave. Each session
+  /// keeps an autosave — spec line + tenant token + checkpoint text —
+  /// written durably before CreateSession/Resume reply and again by
+  /// sweeps once it changed, plus a write-ahead log: each committed
+  /// ask/tell/expire/step — background drive steps included — appends
+  /// one fsync'd record before its reply. ResumeSaved replays the log
+  /// on top of the autosave, so a crash loses at most the request in
+  /// flight (see docs/resilience.md; a failed append is not yet
+  /// reported to the caller).
   std::string autosave_dir;
   /// Autosave sweep period; 0 disables the periodic sweep (explicit
-  /// RunMaintenance() calls still autosave).
+  /// RunMaintenance() calls and the drain still autosave). Without
+  /// sweeps nothing acknowledged is lost, but each log keeps growing.
   int64_t autosave_interval_ms = 0;
   /// Revive every autosaved session found in autosave_dir during
-  /// Start() — the hot-restart sweep. A successor process pointed at a
-  /// drained predecessor's autosave_dir resumes its sessions without
-  /// any client sending kResumeSaved.
+  /// Start() — the hot-restart sweep, in sorted name order so quota
+  /// contention inside it is deterministic. A successor process
+  /// pointed at a drained predecessor's autosave_dir resumes its
+  /// sessions without any client sending kResumeSaved.
   bool resume_saved_on_start = false;
 
   /// \name Graceful drain & load shedding (docs/resilience.md)
@@ -150,7 +151,9 @@ class TuningServer {
   /// @{
   int64_t busy_rejections() const { return busy_rejections_.load(); }
   int64_t sessions_evicted() const { return sessions_evicted_.load(); }
-  int64_t autosaves_written() const { return autosaves_written_.load(); }
+  int64_t autosaves_written() const {
+    return service_.store().autosaves_written();
+  }
   int64_t shed_overload() const { return shed_overload_.load(); }
   int64_t shed_deadline() const { return shed_deadline_.load(); }
   int64_t sessions_restored() const { return sessions_restored_.load(); }
@@ -212,17 +215,16 @@ class TuningServer {
   using ConnPtr = std::shared_ptr<Conn>;
 
   /// Server-side record of a wire-created session (what the service
-  /// itself doesn't know: the serializable spec, the owning tenant,
-  /// the rebuilt ConfigSpace for space sources, the drive flag).
-  /// Session state and its WAL live in the service.
+  /// itself doesn't know: the owning tenant, the rebuilt ConfigSpace
+  /// for space sources, the drive flag). Session state and its files
+  /// live in the service.
   struct SessionMeta {
-    WireSessionSpec spec;
     std::string tenant;
     std::unique_ptr<ConfigSpace> owned_space;
     std::atomic<bool> driving{false};
-    /// True once this server has durably written the session's
-    /// autosave file; an unchanged file is then not rewritten.
-    std::atomic<bool> autosave_durable{false};
+    /// Set by the one close or eviction that claims this meta; only it
+    /// closes the session and drops the meta.
+    std::atomic<bool> closing{false};
   };
   using MetaPtr = std::shared_ptr<SessionMeta>;
 
@@ -250,25 +252,31 @@ class TuningServer {
   void DriveStep(const std::string& name, MetaPtr meta);
 
   /// Converts a wire spec into a live SessionSpec (resolving the
-  /// workload name or rebuilding the knob space into *owned_space),
-  /// with the session's WAL path when autosave is on.
-  Status BuildSessionSpec(const std::string& name, const WireSessionSpec& wire,
+  /// workload name or rebuilding the knob space into *owned_space).
+  Status BuildSessionSpec(const WireSessionSpec& wire,
                           std::unique_ptr<ConfigSpace>* owned_space,
                           service::SessionSpec* out) const;
 
   /// Registers a wire session: builds its spec, takes a tenant quota
   /// slot, adds it to the service — fresh, resumed from `checkpoint`,
-  /// or (`recover`) also replaying its WAL — and records its meta.
+  /// or (`saved_header` set) recovered from its autosave, replaying
+  /// its WAL — and records its meta.
   Status AddSession(const std::string& name, const WireSessionSpec& wire,
                     const std::string& tenant, const std::string* checkpoint,
-                    bool recover);
+                    const std::string* saved_header);
 
-  /// The meta of a wire session, or nullptr; and a snapshot of all.
+  /// The meta of a wire session, or nullptr.
   MetaPtr MetaFor(const std::string& name) const EXCLUDES(meta_mu_);
-  std::map<std::string, MetaPtr> Metas() const EXCLUDES(meta_mu_);
-  /// Drops a closed session's meta and releases its tenant slot;
-  /// false when the server holds no meta for `name`.
-  bool ForgetMeta(const std::string& name) EXCLUDES(meta_mu_);
+  /// The meta of a wire session, claimed for closing; nullptr when
+  /// there is none, another close claimed it, or (`unless_driving`)
+  /// the session is being driven. A session with a current, unclaimed
+  /// meta is live in the service.
+  MetaPtr ClaimMeta(const std::string& name, bool unless_driving = false)
+      EXCLUDES(meta_mu_);
+  /// After the claimed session closed: drops `meta` unless a same-named
+  /// session already replaced it, and releases its tenant slot.
+  void ForgetMeta(const std::string& name, const MetaPtr& meta)
+      EXCLUDES(meta_mu_);
 
   /// Quota bookkeeping (meta_mu_).
   Status ReserveTenantSlot(const std::string& tenant) EXCLUDES(meta_mu_);
@@ -281,15 +289,6 @@ class TuningServer {
   /// recorded in the file.
   Status ResumeSavedSession(const std::string& name,
                             const std::string* tenant_override);
-  /// Revives every *.autosave in autosave_dir (hot restart). Sessions
-  /// already live are skipped; names are processed in sorted order so
-  /// the sweep is deterministic.
-  void ResumeSavedStartupSweep();
-
-  std::string AutosavePath(const std::string& name) const;
-  std::string WalPath(const std::string& name) const;
-  Status AutosaveSession(const std::string& name, const MetaPtr& meta);
-  void AutosaveSweep();
   void EvictionSweep();
 
   void TaskStarted() EXCLUDES(tasks_mu_);
@@ -364,7 +363,6 @@ class TuningServer {
 
   std::atomic<int64_t> busy_rejections_{0};
   std::atomic<int64_t> sessions_evicted_{0};
-  std::atomic<int64_t> autosaves_written_{0};
   std::atomic<int64_t> shed_overload_{0};
   std::atomic<int64_t> shed_deadline_{0};
   std::atomic<int64_t> sessions_restored_{0};

@@ -54,7 +54,6 @@ class TrialWal {
 
   void Close();
   bool is_open() const { return fd_ >= 0; }
-  std::string path() const { return path_; }
 
   /// Reads every complete record from the log at `path`. A torn tail
   /// (final line with no newline) is dropped; when there is one and

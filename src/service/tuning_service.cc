@@ -132,81 +132,105 @@ auto TuningService::Run(const std::string& name, Activity activity,
   using R = std::invoke_result_t<Op&, Tuner&, WalEdit*>;
   std::shared_ptr<Entry> entry = Find(name);
   if (entry == nullptr) return R(NoSession(name));
-  return RunLocked(*entry, activity, op);
+  std::optional<R> result = RunLocked(*entry, activity, op);
+  return result.has_value() ? std::move(*result) : R(NoSession(name));
 }
 
 template <typename Op>
 auto TuningService::RunLocked(Entry& entry, Activity activity,
                               Op&& op) const {
+  using R = std::invoke_result_t<Op&, Tuner&, WalEdit*>;
   if (activity == kDriving) {
     entry.last_activity_unix_ms.store(NowUnixMillis(),
                                       std::memory_order_relaxed);
   }
   MutexLock lock(entry.mu);
+  if (entry.tuner == nullptr) return std::optional<R>();
   WalEdit edit;
-  auto result = op(*entry.tuner, entry.wal.is_open() ? &edit : nullptr);
-  if (edit.truncate) entry.wal.Truncate().ok();
-  for (const std::string& record : edit.records) {
-    entry.wal.Append(record).ok();
-  }
+  std::optional<R> result(
+      op(*entry.tuner, entry.wal.is_open() ? &edit : nullptr));
+  for (const std::string& record : edit) entry.wal.Append(record).ok();
+  entry.changes += edit.size();
   return result;
 }
 
+TuningService::TuningService(std::string store_dir)
+    : store_(std::move(store_dir)) {}
+
 Status TuningService::Add(const std::string& name, const SessionSpec& spec,
-                          const std::string* checkpoint, bool replay_wal) {
+                          const std::string* checkpoint,
+                          const std::string& header, bool recover,
+                          bool header_is_saved) {
+  if (header.find('\n') != std::string::npos) {
+    return Status::InvalidArgument("TuningService: header must be one line");
+  }
   Result<std::unique_ptr<Tuner>> tuner = BuildTuner(spec);
   if (!tuner.ok()) return tuner.status();
-  auto entry = std::make_shared<Entry>(spec);
+  auto owned = std::make_shared<Entry>(spec, header);
+  Entry& entry = *owned;
   // Held across publication, so no operation reaches the session
-  // before its WAL is open: none goes unlogged.
-  MutexLock lock(entry->mu);
-  entry->tuner = std::move(tuner).ValueOrDie();
+  // before its files are ready: none goes unlogged.
+  MutexLock lock(entry.mu);
+  entry.tuner = std::move(tuner).ValueOrDie();
   if (checkpoint != nullptr) {
-    LT_RETURN_NOT_OK(entry->tuner->Restore(*checkpoint));
+    LT_RETURN_NOT_OK(entry.tuner->Restore(*checkpoint));
   }
   std::optional<size_t> torn_at;
-  if (replay_wal) {
+  if (recover && store_.enabled()) {
     Result<std::vector<std::string>> records =
-        TrialWal::ReadRecords(spec.wal_path, &torn_at);
+        TrialWal::ReadRecords(store_.WalPath(name), &torn_at);
     // A replay error leaves a valid prefix of the logged history (loss
     // is at most the request in flight), so recovery still succeeds.
-    if (records.ok()) ReplayWal(*entry->tuner, *records).ok();
+    // With nothing to replay, the session is what its autosave holds.
+    if (records.ok()) {
+      ReplayWal(*entry.tuner, *records).ok();
+      entry.changes = records->size() + (header_is_saved ? 0 : 1);
+    }
   }
   {
     MutexLock registry_lock(mu_);
-    if (!sessions_.emplace(name, entry).second) {
+    if (!sessions_.emplace(name, owned).second) {
       return Status::SessionAlreadyExists("TuningService: session '" + name +
                                           "' already exists");
     }
   }
-  // A fresh session must not replay a stale log left by an earlier
-  // same-named one; a recovered session keeps the tail it replayed
-  // (truncating it here would widen the window a crash can lose), but
-  // cuts a torn last record, so the next append starts a fresh line.
-  if (!spec.wal_path.empty() && entry->wal.Open(spec.wal_path).ok()) {
-    if (!replay_wal) {
-      entry->wal.Truncate().ok();
-    } else if (torn_at.has_value()) {
-      entry->wal.Truncate(*torn_at).ok();
-    }
+  if (!store_.enabled()) return Status::OK();
+  // The log is opened first, so the autosave's directory fsync also
+  // makes the name of a newly created log durable.
+  Status stored = entry.wal.Open(store_.WalPath(name));
+  if (stored.ok() && !recover) {
+    // A fresh session must not replay a stale log left by an earlier
+    // same-named one, and is recoverable once its autosave is durable.
+    stored = entry.wal.Truncate();
+    if (stored.ok()) stored = store_.Write(name, header, entry.tuner->Save());
+  } else if (stored.ok() && torn_at.has_value()) {
+    // A recovered session keeps the tail it replayed (truncating it
+    // here would widen the window a crash can lose), but cuts a torn
+    // last record, so the next append starts a fresh line.
+    stored = entry.wal.Truncate(*torn_at);
   }
-  return Status::OK();
+  if (!stored.ok()) Unregister(name, entry);
+  return stored;
 }
 
 Status TuningService::CreateSession(const std::string& name,
-                                    const SessionSpec& spec) {
-  return Add(name, spec, nullptr, false);
+                                    const SessionSpec& spec,
+                                    const std::string& header) {
+  return Add(name, spec, nullptr, header, false);
 }
 
 Status TuningService::Resume(const std::string& name, const SessionSpec& spec,
-                             const std::string& checkpoint) {
-  return Add(name, spec, &checkpoint, false);
+                             const std::string& checkpoint,
+                             const std::string& header) {
+  return Add(name, spec, &checkpoint, header, false);
 }
 
 Status TuningService::Recover(const std::string& name,
                               const SessionSpec& spec,
-                              const std::string& checkpoint) {
-  return Add(name, spec, &checkpoint, true);
+                              const std::string& checkpoint,
+                              const std::string& header,
+                              bool header_is_saved) {
+  return Add(name, spec, &checkpoint, header, true, header_is_saved);
 }
 
 std::shared_ptr<TuningService::Entry> TuningService::Find(
@@ -216,11 +240,17 @@ std::shared_ptr<TuningService::Entry> TuningService::Find(
   return it == sessions_.end() ? nullptr : it->second;
 }
 
+std::vector<std::pair<std::string, std::shared_ptr<TuningService::Entry>>>
+TuningService::Entries() const {
+  MutexLock lock(mu_);
+  return {sessions_.begin(), sessions_.end()};
+}
+
 Result<Trial> TuningService::Ask(const std::string& name) {
   return Run(name, kDriving, [](Tuner& tuner, WalEdit* wal) {
     Result<Trial> trial = tuner.Ask();
     if (wal != nullptr && trial.ok()) {
-      wal->records.push_back("ask1 " + std::to_string(trial->id));
+      wal->push_back("ask1 " + std::to_string(trial->id));
     }
     return trial;
   });
@@ -233,7 +263,7 @@ Result<std::vector<Trial>> TuningService::AskBatch(const std::string& name,
     // Record the *request* (n), not the count handed out: replay must
     // re-issue the identical call to draw the identical batch.
     if (wal != nullptr && trials.ok() && !trials->empty()) {
-      wal->records.push_back("askb " + std::to_string(n) + " " +
+      wal->push_back("askb " + std::to_string(n) + " " +
                              std::to_string(trials->front().id));
     }
     return trials;
@@ -244,7 +274,7 @@ Status TuningService::Tell(const std::string& name,
                            const TrialResult& result) {
   return Run(name, kDriving, [&result](Tuner& tuner, WalEdit* wal) {
     Status told = tuner.Tell(result);
-    if (wal != nullptr && told.ok()) wal->records.push_back(TellRecord(result));
+    if (wal != nullptr && told.ok()) wal->push_back(TellRecord(result));
     return told;
   });
 }
@@ -258,7 +288,7 @@ Status TuningService::TellBatch(const std::string& name,
     size_t told = 0;
     Status status = tuner.session().TellBatch(results, &told);
     for (size_t i = 0; wal != nullptr && i < told; ++i) {
-      wal->records.push_back(TellRecord(results[i]));
+      wal->push_back(TellRecord(results[i]));
     }
     return status;
   });
@@ -278,30 +308,24 @@ Status TuningService::Expire(const std::string& name, int64_t trial_id) {
   return Run(name, kPassive, [trial_id](Tuner& tuner, WalEdit* wal) {
     Status expired = tuner.Expire(trial_id);
     if (wal != nullptr && expired.ok()) {
-      wal->records.push_back(ExpireRecord(trial_id));
+      wal->push_back(ExpireRecord(trial_id));
     }
     return expired;
   });
 }
 
 int TuningService::ExpireOverdue(int64_t now_ms) {
-  std::vector<std::shared_ptr<Entry>> entries;
-  {
-    MutexLock lock(mu_);
-    for (const auto& [name, entry] : sessions_) {
-      if (entry->spec.pending_deadline_ms > 0) entries.push_back(entry);
-    }
-  }
   int expired = 0;
-  for (const auto& entry : entries) {
+  for (const auto& [name, entry] : Entries()) {
+    if (entry->spec.pending_deadline_ms <= 0) continue;
     expired += RunLocked(*entry, kPassive, [now_ms](Tuner& tuner,
                                                     WalEdit* wal) {
       std::vector<int64_t> ids = tuner.ExpireOverdue(now_ms);
       if (wal != nullptr) {
-        for (int64_t id : ids) wal->records.push_back(ExpireRecord(id));
+        for (int64_t id : ids) wal->push_back(ExpireRecord(id));
       }
       return static_cast<int>(ids.size());
-    });
+    }).value_or(0);
   }
   return expired;
 }
@@ -316,7 +340,7 @@ Status TuningService::Step(const std::string& name, bool* progressed) {
     const int before = tuner.session().iterations_run();
     const bool stepped = tuner.Step();
     if (wal != nullptr && stepped) {
-      wal->records.push_back("step " + std::to_string(before));
+      wal->push_back("step " + std::to_string(before));
     }
     if (progressed != nullptr) *progressed = stepped;
     return Status::OK();
@@ -336,21 +360,31 @@ Result<std::string> TuningService::Checkpoint(const std::string& name) const {
   });
 }
 
-Status TuningService::PersistCheckpoint(
-    const std::string& name,
-    const std::function<Status(const std::string& checkpoint)>& persist) {
-  return Run(name, kPassive, [&persist](Tuner& tuner, WalEdit* wal) {
-    LT_RETURN_NOT_OK(persist(tuner.Save()));
-    // A pending trial's ask record is not inside the checkpoint — its
-    // round is uncommitted — so any pending trial keeps the log (its
-    // tail replays idempotently instead).
-    if (wal != nullptr) wal->truncate = tuner.session().pending_trials() == 0;
+Status TuningService::PersistLocked(const std::string& name, Entry& entry) {
+  if (!store_.enabled() || entry.persisted == entry.changes) {
     return Status::OK();
-  });
+  }
+  LT_RETURN_NOT_OK(store_.Write(name, entry.header, entry.tuner->Save()));
+  entry.persisted = entry.changes;
+  // A pending trial's ask record is not inside the checkpoint — its
+  // round is uncommitted — so any pending trial keeps the log (its
+  // tail replays idempotently instead).
+  if (entry.tuner->session().pending_trials() == 0) entry.wal.Truncate().ok();
+  return Status::OK();
 }
 
-SessionStatus TuningService::StatusOf(const std::string& name,
-                                      Entry& entry) const {
+void TuningService::PersistChanged() {
+  if (!store_.enabled()) return;
+  for (const auto& [name, found] : Entries()) {
+    Entry& entry = *found;
+    MutexLock lock(entry.mu);
+    // A failed write keeps the log, so the next sweep tries again.
+    if (entry.tuner != nullptr) PersistLocked(name, entry).ok();
+  }
+}
+
+std::optional<SessionStatus> TuningService::StatusOf(const std::string& name,
+                                                     Entry& entry) const {
   return RunLocked(entry, kPassive, [&](Tuner& tuner, WalEdit*) {
     const TuningSession& session = tuner.session();
     SessionStatus status;
@@ -375,36 +409,53 @@ SessionStatus TuningService::StatusOf(const std::string& name,
 
 Result<SessionStatus> TuningService::GetStatus(const std::string& name) const {
   std::shared_ptr<Entry> entry = Find(name);
-  if (entry == nullptr) return NoSession(name);
-  return StatusOf(name, *entry);
+  std::optional<SessionStatus> status;
+  if (entry != nullptr) status = StatusOf(name, *entry);
+  if (!status.has_value()) return NoSession(name);
+  return *std::move(status);
 }
 
 std::vector<SessionStatus> TuningService::ListSessions() const {
-  std::vector<std::pair<std::string, std::shared_ptr<Entry>>> entries;
-  {
-    MutexLock lock(mu_);
-    entries.assign(sessions_.begin(), sessions_.end());
-  }
   std::vector<SessionStatus> statuses;
-  statuses.reserve(entries.size());
-  for (const auto& [name, entry] : entries) {
-    statuses.push_back(StatusOf(name, *entry));
+  for (const auto& [name, entry] : Entries()) {
+    std::optional<SessionStatus> status = StatusOf(name, *entry);
+    if (status.has_value()) statuses.push_back(*std::move(status));
   }
   return statuses;
 }
 
-Result<SessionResult> TuningService::Close(const std::string& name) {
-  std::shared_ptr<Entry> entry;
+void TuningService::Unregister(const std::string& name, Entry& entry) {
   {
     MutexLock lock(mu_);
-    auto it = sessions_.find(name);
-    if (it == sessions_.end()) return NoSession(name);
-    entry = std::move(it->second);
-    sessions_.erase(it);
+    sessions_.erase(name);
   }
-  MutexLock lock(entry->mu);
-  entry->wal.Close();
-  return entry->tuner->session().Snapshot();
+  entry.wal.Close();
+  entry.tuner.reset();
+}
+
+Result<SessionResult> TuningService::Close(const std::string& name) {
+  std::shared_ptr<Entry> found = Find(name);
+  if (found == nullptr) return NoSession(name);
+  Entry& entry = *found;
+  MutexLock lock(entry.mu);
+  if (entry.tuner == nullptr) return NoSession(name);
+  SessionResult result = entry.tuner->session().Snapshot();
+  store_.Remove(name);
+  Unregister(name, entry);
+  return result;
+}
+
+Status TuningService::Evict(const std::string& name) {
+  std::shared_ptr<Entry> found = Find(name);
+  if (found == nullptr) return NoSession(name);
+  Entry& entry = *found;
+  MutexLock lock(entry.mu);
+  if (entry.tuner == nullptr) return NoSession(name);
+  // A failed write leaves the WAL untruncated, so the files still
+  // recover every committed operation.
+  PersistLocked(name, entry).ok();
+  Unregister(name, entry);
+  return Status::OK();
 }
 
 int TuningService::session_count() const {

@@ -2,11 +2,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -17,13 +17,14 @@
 #include "src/core/tuning_session.h"
 #include "src/dbsim/simulated_postgres.h"
 #include "src/harness/tuner.h"
+#include "src/service/session_store.h"
 #include "src/service/trial_wal.h"
 
 namespace llamatune {
 namespace service {
 
 /// \brief Everything needed to spin up one tuning job: a TunerConfig
-/// plus the objective source, early stopping and the WAL path.
+/// plus the objective source and early stopping.
 /// Exactly one objective source must be set:
 ///
 ///  * `workload`   — tune the bundled simulated PostgreSQL; the
@@ -45,12 +46,6 @@ struct SessionSpec : harness::TunerConfig {
   bool maximize = true;
 
   std::optional<EarlyStoppingPolicy> early_stopping;
-  /// Path of the session's per-tell write-ahead log (see TrialWal);
-  /// empty disables it. Every committed ask, tell, expire and step
-  /// appends one fsync'd record under the session lock, so the log
-  /// order is the commit order. CreateSession and Resume start the
-  /// log empty; Recover replays it (docs/resilience.md).
-  std::string wal_path;
 };
 
 /// \brief A point-in-time view of one managed session.
@@ -101,28 +96,46 @@ struct SessionStatus {
 /// seed/keys/options — Restore verifies bit-for-bit and fails loudly
 /// otherwise) and replays the trajectory, after which the session
 /// continues exactly as the uninterrupted one would have.
+///
+/// With a store (SessionStore), every committed ask, tell, expire and
+/// step appends one fsync'd WAL record under the session lock, so the
+/// log order is the commit order (docs/resilience.md).
 class TuningService {
  public:
-  TuningService() = default;
+  /// `store_dir` empty: sessions keep no files.
+  explicit TuningService(std::string store_dir = {});
   TuningService(const TuningService&) = delete;
   TuningService& operator=(const TuningService&) = delete;
 
   /// Registers a new session under `name`. Fails with
   /// SessionAlreadyExists for duplicate names, or with the
-  /// TunerBuilder error for bad specs/keys.
-  Status CreateSession(const std::string& name, const SessionSpec& spec);
+  /// TunerBuilder error for bad specs/keys. With a store, starts the
+  /// WAL empty and durably writes the autosave — `header`, one line
+  /// opaque to the service, then the checkpoint — before returning; a
+  /// failed write fails the call and registers nothing.
+  Status CreateSession(const std::string& name, const SessionSpec& spec,
+                       const std::string& header = {});
 
   /// CreateSession + TuningSession::Restore in one step.
   Status Resume(const std::string& name, const SessionSpec& spec,
-                const std::string& checkpoint);
+                const std::string& checkpoint,
+                const std::string& header = {});
 
-  /// Crash recovery: Resume from `checkpoint`, then replay the WAL at
-  /// spec.wal_path on top of it before the session is published, and
+  /// Crash recovery: Resume from `checkpoint`, then replay the
+  /// session's WAL on top of it before the session is published, and
   /// keep appending to that log. Replay stops at the first record it
   /// cannot apply; the session is then still a valid prefix of its
-  /// logged history, so recovery succeeds.
+  /// logged history, so recovery succeeds. `checkpoint` is the saved
+  /// one (SessionStore::Load), so with an empty log the session counts
+  /// as persisted — unless the saved file carries another header
+  /// (`header_is_saved` false), which the next persist then replaces.
   Status Recover(const std::string& name, const SessionSpec& spec,
-                 const std::string& checkpoint);
+                 const std::string& checkpoint,
+                 const std::string& header = {},
+                 bool header_is_saved = true);
+
+  /// The sessions' files (read-only: the service writes them).
+  const SessionStore& store() const { return store_; }
 
   /// \name Ask/tell (any session)
   /// @{
@@ -162,29 +175,32 @@ class TuningService {
   /// Serializes the session's committed trajectory.
   Result<std::string> Checkpoint(const std::string& name) const;
 
-  /// Under the session lock: serializes the checkpoint and hands it to
-  /// `persist`, which must make it durable. Once `persist` succeeded
-  /// and no trial is pending, truncates the session's WAL — everything
-  /// it describes is then inside the durable checkpoint.
-  Status PersistCheckpoint(
-      const std::string& name,
-      const std::function<Status(const std::string& checkpoint)>& persist);
+  /// For every session, under its lock: if it changed since its last
+  /// durable autosave, writes a new one, then truncates the WAL unless
+  /// a trial is pending — everything the log describes is then inside
+  /// the autosave. A no-op without a store.
+  void PersistChanged();
 
   Result<SessionStatus> GetStatus(const std::string& name) const;
 
   /// Status of every live session, sorted by name.
   std::vector<SessionStatus> ListSessions() const;
 
-  /// Removes the session, closes its WAL (the file stays), and
-  /// returns its final result snapshot.
+  /// Removes the session and returns its final result snapshot. Both
+  /// files are deleted before the name leaves the registry, so a
+  /// same-named session created afterwards keeps its own.
   Result<SessionResult> Close(const std::string& name);
+  /// Persists the session, then removes it and keeps both files, so
+  /// Recover can bring it back.
+  Status Evict(const std::string& name);
 
   int session_count() const;
 
  private:
   struct Entry {
-    explicit Entry(const SessionSpec& spec)
+    Entry(const SessionSpec& spec, const std::string& header)
         : spec(spec),
+          header(header),
           created_unix_ms(NowUnixMillis()),
           last_activity_unix_ms(created_unix_ms) {}
 
@@ -194,24 +210,30 @@ class TuningService {
     mutable Mutex mu;
     /// The whole tuner stack is mu-serialized: every Ask/Tell/Step/
     /// Save path mutates optimizer and session state behind this
-    /// pointer.
+    /// pointer. Null once the session is closed (or failed to be
+    /// created): an operation that found it then answers
+    /// SessionNotFound.
     std::unique_ptr<harness::Tuner> tuner GUARDED_BY(mu);
-    /// Open only when the spec named a wal_path.
+    /// Open exactly when the service has a store.
     TrialWal wal GUARDED_BY(mu);
+    /// The change detector: WAL records appended or replayed, and
+    /// their count at the last durable autosave. Every operation that
+    /// changes Save()'s output appends a record.
+    uint64_t changes GUARDED_BY(mu) = 0;
+    uint64_t persisted GUARDED_BY(mu) = 0;
     /// The spec the session was built from.
     const SessionSpec spec;
+    /// The autosave's first line.
+    const std::string header;
     const int64_t created_unix_ms;
     /// Updated lock-free by every driving operation (see
     /// SessionStatus::last_activity_unix_ms for what counts).
     std::atomic<int64_t> last_activity_unix_ms;
   };
 
-  /// What one operation asks of the session's WAL. Operations fill
-  /// it; RunLocked applies it under the session lock.
-  struct WalEdit {
-    bool truncate = false;
-    std::vector<std::string> records;
-  };
+  /// The records one operation commits to the session's WAL.
+  /// Operations fill it; RunLocked appends it under the session lock.
+  using WalEdit = std::vector<std::string>;
 
   /// Whether an operation counts as driving activity (see
   /// SessionStatus::last_activity_unix_ms).
@@ -220,26 +242,38 @@ class TuningService {
   /// Looks up `name` under the registry lock; the returned shared_ptr
   /// keeps the entry alive even if Close() races.
   std::shared_ptr<Entry> Find(const std::string& name) const;
+  /// A snapshot of the registry.
+  std::vector<std::pair<std::string, std::shared_ptr<Entry>>> Entries() const;
 
   /// The one path to a session's tuner: looks `name` up
   /// (SessionNotFound otherwise) and runs RunLocked.
   template <typename Op>
   auto Run(const std::string& name, Activity activity, Op&& op) const;
   /// Stamps activity, takes the session lock, runs `op(tuner, wal)`,
-  /// then applies the edit to the session's WAL before releasing the
-  /// lock. `wal` is null when the session keeps no WAL, so records are
-  /// built only for sessions that log. Operations add a record only
-  /// for what they committed, so the log never holds an operation the
-  /// session did not apply.
+  /// then appends the edit to the session's WAL before releasing the
+  /// lock; nullopt when the session is closed. `wal` is null when the
+  /// session keeps no WAL, so records are built only for sessions that
+  /// log. Operations add a record only for what they committed, so the
+  /// log never holds an operation the session did not apply.
   template <typename Op>
   auto RunLocked(Entry& entry, Activity activity, Op&& op) const;
 
-  SessionStatus StatusOf(const std::string& name, Entry& entry) const;
-  /// Builds the session, optionally restores `checkpoint` and replays
-  /// the WAL, then publishes it with its WAL open.
+  std::optional<SessionStatus> StatusOf(const std::string& name,
+                                        Entry& entry) const;
+  /// Builds the session, optionally restores `checkpoint` and
+  /// (`recover`) replays the WAL, then publishes it with its files
+  /// ready.
   Status Add(const std::string& name, const SessionSpec& spec,
-             const std::string* checkpoint, bool replay_wal);
+             const std::string* checkpoint, const std::string& header,
+             bool recover, bool header_is_saved = true);
+  /// PersistChanged for one session.
+  Status PersistLocked(const std::string& name, Entry& entry)
+      REQUIRES(entry.mu);
+  /// Takes a live session out of the registry and frees its tuner.
+  void Unregister(const std::string& name, Entry& entry) REQUIRES(entry.mu)
+      EXCLUDES(mu_);
 
+  SessionStore store_;
   mutable Mutex mu_;
   std::map<std::string, std::shared_ptr<Entry>> sessions_ GUARDED_BY(mu_);
 };

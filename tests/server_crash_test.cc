@@ -341,6 +341,65 @@ TEST(ServerCrashTest, Kill9ThenResumeSavedMatchesUninterruptedRun) {
 #endif
 }
 
+// SIGKILL before any autosave sweep: the server runs with the default
+// --autosave-interval-ms of 0, so no sweep ever runs. CreateSession
+// wrote the autosave durably before it replied, so the successor's
+// ResumeSaved replays every acknowledged round from the WAL on top of
+// it.
+TEST(ServerCrashTest, Kill9BeforeAnySweepRecoversEveryAcknowledgedRound) {
+#ifndef LLAMATUNE_SERVE_REMOTE_BIN
+  GTEST_SKIP() << "serve_remote example not built";
+#else
+  const std::string bin = LLAMATUNE_SERVE_REMOTE_BIN;
+  struct stat sb;
+  if (::stat(bin.c_str(), &sb) != 0) {
+    GTEST_SKIP() << "serve_remote binary missing at " << bin;
+  }
+  const std::string dir = ::testing::TempDir() + "llamatune-early-" +
+                          std::to_string(::getpid());
+  ::mkdir(dir.c_str(), 0755);
+  const std::string port_file = dir + "/port";
+  const std::vector<std::string> no_sweep = {"--autosave-interval-ms", "0"};
+
+  ServerProcess first;
+  int port = first.Launch(bin, dir, port_file, "", no_sweep);
+  ASSERT_GT(port, 0) << "server did not come up";
+  TuningClient client;
+  ASSERT_TRUE(
+      client.Connect("127.0.0.1", static_cast<uint16_t>(port)).ok());
+  ASSERT_TRUE(client.Hello("early-tenant").ok());
+  ASSERT_TRUE(client.CreateSession("early", CrashWireSpec()).ok());
+  DriveRounds(client, "early", 4);
+  Result<std::string> at_kill = client.Checkpoint("early");
+  ASSERT_TRUE(at_kill.ok());
+  first.Kill9();
+  client.Disconnect();
+
+  ServerProcess second;
+  port = second.Launch(bin, dir, port_file, "", no_sweep);
+  ASSERT_GT(port, 0) << "restarted server did not come up";
+  TuningClient revived;
+  ASSERT_TRUE(
+      revived.Connect("127.0.0.1", static_cast<uint16_t>(port)).ok());
+  ASSERT_TRUE(revived.Hello("early-tenant").ok());
+  Status resumed = revived.ResumeSaved("early");
+  ASSERT_TRUE(resumed.ok()) << resumed.ToString();
+  Result<std::string> recovered = revived.Checkpoint("early");
+  ASSERT_TRUE(recovered.ok());
+  EXPECT_EQ(Trajectory(*recovered), Trajectory(*at_kill));
+  Result<WireSessionStatus> status = revived.GetStatus("early");
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status->status.iterations_run, 3);  // baseline + 3 counted
+
+  DriveOut(revived, "early");
+  Result<std::string> final_run = revived.Checkpoint("early");
+  ASSERT_TRUE(final_run.ok());
+  second.Kill9();
+  EXPECT_EQ(Trajectory(*final_run),
+            Trajectory(UninterruptedCheckpoint(4242, 16)));
+#endif
+}
+
 // SIGKILL *between* autosaves: rounds committed after the last durable
 // snapshot exist only in the per-tell WAL, and ResumeSaved must replay
 // that tail on top of the stale autosave — recovering every committed

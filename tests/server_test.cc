@@ -1310,6 +1310,107 @@ TEST(ServerTest, TellBatchWithNaNBuffersNothingWithOrWithoutWal) {
   }
 }
 
+
+// A Close racing a same-named CreateSession from another tenant: the
+// close is held after the service freed the name and before the server
+// dropped its meta, and the create lands in between. The close may
+// drop only the meta it looked up, so the new session keeps its tenant
+// slot, its files, its autosave and its drive.
+TEST(ServerTest, CloseRacingASameNamedCreateKeepsTheNewSessionsBookkeeping) {
+  TuningServerOptions options;
+  options.autosave_dir = FreshDir("closerace");
+  options.max_sessions_per_tenant = 1;
+  TuningServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  TuningClient closer;
+  TuningClient creator;
+  ASSERT_TRUE(closer.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(creator.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(closer.Hello("team-a").ok());
+  ASSERT_TRUE(creator.Hello("team-b").ok());
+  ASSERT_TRUE(closer.CreateSession("job", ExternalWireSpec(0)).ok());
+
+  ASSERT_TRUE(FaultInjection::Configure("close.pause=@0"));
+  Status closed;
+  std::thread closing([&] { closed = closer.Close("job").status(); });
+  for (int i = 0; i < 5000 && FaultInjection::FireCount("close.pause") == 0;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(FaultInjection::FireCount("close.pause"), 1u);
+  Status created = creator.CreateSession("job", SimWireSpec());
+  FaultInjection::Reset();  // releases the held close
+  closing.join();
+  ASSERT_TRUE(closed.ok()) << closed.ToString();
+  ASSERT_TRUE(created.ok()) << created.ToString();
+
+  // The per-tenant counts equal the live sessions, and team-a's slot
+  // is free again.
+  Result<WireServerStats> stats = creator.ServerStats();
+  ASSERT_TRUE(stats.ok());
+  EXPECT_EQ(stats->sessions, 1);
+  EXPECT_EQ(stats->tenant_sessions,
+            (std::vector<std::pair<std::string, int64_t>>{{"team-b", 1}}));
+  EXPECT_TRUE(closer.CreateSession("other", ExternalWireSpec(1)).ok());
+
+  // The surviving session drives to the end and autosaves as team-b's.
+  ASSERT_TRUE(creator.StartDrive("job").ok());
+  for (int i = 0; i < 3000; ++i) {
+    Result<WireSessionStatus> status = creator.GetStatus("job");
+    ASSERT_TRUE(status.ok());
+    if (status->status.finished && !status->driving) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  const int64_t written = server.autosaves_written();
+  server.RunMaintenance();
+  EXPECT_EQ(server.autosaves_written(), written + 1);
+  Result<std::string> autosave = ReadFile(options.autosave_dir + "/" +
+                                          EncodeBytes("job") + ".autosave");
+  ASSERT_TRUE(autosave.ok());
+  EXPECT_NE(autosave->find(" tenant x" + EncodeBytes("team-b") + "\n"),
+            std::string::npos);
+  EXPECT_NE(autosave->find("rounds 7\n"), std::string::npos);
+  server.Stop();
+}
+
+
+// A session recovered with an empty log is not rewritten by the next
+// sweep, unless a ResumeSaved by another tenant took it over: then the
+// sweep moves the tenant token in its autosave to the new owner, so a
+// hot restart after a crash charges the same tenant.
+TEST(ServerTest, SweepRewritesOnlyAResumedAutosaveWhoseTenantChanged) {
+  TuningServerOptions options;
+  options.autosave_dir = FreshDir("retoken");
+  const std::string path =
+      options.autosave_dir + "/" + EncodeBytes("job") + ".autosave";
+  {
+    TuningServer server(options);
+    ASSERT_TRUE(server.Start().ok());
+    TuningClient owner;
+    ASSERT_TRUE(owner.Connect("127.0.0.1", server.port()).ok());
+    ASSERT_TRUE(owner.Hello("team-a").ok());
+    ASSERT_TRUE(owner.CreateSession("job", ExternalWireSpec(0)).ok());
+    ASSERT_TRUE(owner.CreateSession("kept", ExternalWireSpec(1)).ok());
+    server.Stop();
+  }
+  TuningServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  TuningClient same, other;
+  ASSERT_TRUE(same.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(other.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(same.Hello("team-a").ok());
+  ASSERT_TRUE(other.Hello("team-b").ok());
+  ASSERT_TRUE(same.ResumeSaved("kept").ok());
+  ASSERT_TRUE(other.ResumeSaved("job").ok());
+  server.RunMaintenance();
+  EXPECT_EQ(server.autosaves_written(), 1);
+  Result<std::string> autosave = ReadFile(path);
+  ASSERT_TRUE(autosave.ok());
+  EXPECT_NE(autosave->find(" tenant x" + EncodeBytes("team-b") + "\n"),
+            std::string::npos);
+  server.Stop();
+}
+
 }  // namespace
 }  // namespace net
 }  // namespace llamatune

@@ -13,7 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/fault_injection.h"
 #include "src/common/file_io.h"
+#include "src/common/serde.h"
 #include "src/dbsim/workloads.h"
 #include "src/harness/tuner.h"
 #include "src/knobs/config_space.h"
@@ -350,7 +352,12 @@ std::string SessionState(TuningService& service, const std::string& name) {
   return out.str();
 }
 
-SessionSpec WalWorkloadSpec(const std::string& wal_path) {
+/// Where a store-backed service in `dir` keeps session `name`'s log.
+std::string WalPath(const std::string& dir, const std::string& name) {
+  return dir + "/" + EncodeBytes(name) + ".wal";
+}
+
+SessionSpec WalWorkloadSpec() {
   SessionSpec spec;
   spec.workload = dbsim::YcsbA();
   spec.optimizer_key = "random";
@@ -358,7 +365,6 @@ SessionSpec WalWorkloadSpec(const std::string& wal_path) {
   spec.seed = 11;
   spec.num_iterations = 8;
   spec.pending_deadline_ms = 1;  // only the explicit clock below expires
-  spec.wal_path = wal_path;
   return spec;
 }
 
@@ -375,9 +381,8 @@ class WalReplayTest : public ::testing::Test {
   /// before the first and after each operation.
   void SetUp() override {
     dir_ = FreshWalDir();
-    TuningService service;
-    ASSERT_TRUE(
-        service.CreateSession("rec", WalWorkloadSpec(dir_ + "/rec.wal")).ok());
+    TuningService service(dir_);
+    ASSERT_TRUE(service.CreateSession("rec", WalWorkloadSpec()).ok());
     Result<std::string> start = service.Checkpoint("rec");
     ASSERT_TRUE(start.ok());
     start_ = *start;
@@ -423,7 +428,7 @@ class WalReplayTest : public ::testing::Test {
       states_.push_back(SessionState(service, "rec"));
     }
     Result<std::vector<std::string>> records =
-        TrialWal::ReadRecords(dir_ + "/rec.wal");
+        TrialWal::ReadRecords(WalPath(dir_, "rec"));
     ASSERT_TRUE(records.ok());
     records_ = *records;
     ASSERT_EQ(records_.size(), ops.size());
@@ -434,11 +439,10 @@ class WalReplayTest : public ::testing::Test {
   std::string Replay(const std::string& checkpoint,
                      const std::vector<std::string>& records) {
     const std::string name = "replay-" + std::to_string(replays_++);
-    const std::string path = dir_ + "/" + name + ".wal";
+    const std::string path = WalPath(dir_, name);
     EXPECT_TRUE(AtomicWriteFile(path, JoinRecords(records)).ok());
-    TuningService service;
-    Status recovered =
-        service.Recover(name, WalWorkloadSpec(path), checkpoint);
+    TuningService service(dir_);
+    Status recovered = service.Recover(name, WalWorkloadSpec(), checkpoint);
     EXPECT_TRUE(recovered.ok()) << recovered.ToString();
     return SessionState(service, name);
   }
@@ -476,10 +480,10 @@ TEST_F(WalReplayTest, RecordsInsideTheCheckpointAreSkipped) {
   EXPECT_EQ(Replay(start_, first_four), states_[4]);
   std::string mid_checkpoint;
   {
-    TuningService recorder;
-    const std::string path = dir_ + "/mid.wal";
+    TuningService recorder(dir_);
+    const std::string path = WalPath(dir_, "mid");
     ASSERT_TRUE(AtomicWriteFile(path, JoinRecords(first_four)).ok());
-    ASSERT_TRUE(recorder.Recover("mid", WalWorkloadSpec(path), start_).ok());
+    ASSERT_TRUE(recorder.Recover("mid", WalWorkloadSpec(), start_).ok());
     Result<std::string> checkpoint = recorder.Checkpoint("mid");
     ASSERT_TRUE(checkpoint.ok());
     mid_checkpoint = *checkpoint;
@@ -498,11 +502,11 @@ TEST_F(WalReplayTest, ReplayStopsAtAGap) {
 }
 
 TEST_F(WalReplayTest, RecoveryCutsATornTailSoASecondCrashLosesNothing) {
-  const std::string path = dir_ + "/twice.wal";
-  const SessionSpec spec = WalWorkloadSpec(path);
+  const std::string path = WalPath(dir_, "twice");
+  const SessionSpec spec = WalWorkloadSpec();
   std::string checkpoint;
   {
-    TuningService service;
+    TuningService service(dir_);
     ASSERT_TRUE(service.CreateSession("twice", spec).ok());
     Result<std::string> start = service.Checkpoint("twice");
     ASSERT_TRUE(start.ok());
@@ -513,13 +517,13 @@ TEST_F(WalReplayTest, RecoveryCutsATornTailSoASecondCrashLosesNothing) {
   // The append racing the first crash: a record with no newline.
   std::ofstream(path, std::ios::app) << "step 2";
   {
-    TuningService service;
+    TuningService service(dir_);
     ASSERT_TRUE(service.Recover("twice", spec, checkpoint).ok());
     // Both steps are acknowledged, so a second crash must keep them.
     ASSERT_TRUE(service.Step("twice").ok());
     ASSERT_TRUE(service.Step("twice").ok());
   }
-  TuningService service;
+  TuningService service(dir_);
   ASSERT_TRUE(service.Recover("twice", spec, checkpoint).ok());
   Result<SessionStatus> status = service.GetStatus("twice");
   ASSERT_TRUE(status.ok());
@@ -531,8 +535,8 @@ TEST_F(WalReplayTest, RecoveryCutsATornTailSoASecondCrashLosesNothing) {
 // prefix recovers to the state after that many operations.
 TEST(RacingWalReplayTest, AskBatchRecordsReplayThroughRecover) {
   const std::string dir = FreshWalDir();
-  auto spec = [&dir](const std::string& name) {
-    SessionSpec spec = WalWorkloadSpec(dir + "/" + name + ".wal");
+  auto spec = [] {
+    SessionSpec spec = WalWorkloadSpec();
     spec.pending_deadline_ms = 0;
     spec.num_iterations = 2;
     RacingOptions racing;
@@ -542,8 +546,8 @@ TEST(RacingWalReplayTest, AskBatchRecordsReplayThroughRecover) {
     spec.racing = racing;
     return spec;
   };
-  TuningService service;
-  ASSERT_TRUE(service.CreateSession("race", spec("race")).ok());
+  TuningService service(dir);
+  ASSERT_TRUE(service.CreateSession("race", spec()).ok());
   Result<std::string> start = service.Checkpoint("race");
   ASSERT_TRUE(start.ok());
   std::vector<std::string> states = {SessionState(service, "race")};
@@ -585,12 +589,12 @@ TEST(RacingWalReplayTest, AskBatchRecordsReplayThroughRecover) {
     ASSERT_TRUE(status.ok()) << status.ToString();
     states.push_back(SessionState(service, "race"));
     Result<std::vector<std::string>> records =
-        TrialWal::ReadRecords(dir + "/race.wal");
+        TrialWal::ReadRecords(WalPath(dir, "race"));
     ASSERT_TRUE(records.ok());
     logged.push_back(records->size());
   }
   Result<std::vector<std::string>> records =
-      TrialWal::ReadRecords(dir + "/race.wal");
+      TrialWal::ReadRecords(WalPath(dir, "race"));
   ASSERT_TRUE(records.ok());
   int askb = 0;
   for (const std::string& record : *records) {
@@ -604,12 +608,148 @@ TEST(RacingWalReplayTest, AskBatchRecordsReplayThroughRecover) {
     std::vector<std::string> prefix(records->begin(),
                                     records->begin() + logged[k]);
     ASSERT_TRUE(
-        AtomicWriteFile(dir + "/" + name + ".wal", JoinRecords(prefix)).ok());
-    TuningService recovered;
-    Status status = recovered.Recover(name, spec(name), *start);
+        AtomicWriteFile(WalPath(dir, name), JoinRecords(prefix)).ok());
+    TuningService recovered(dir);
+    Status status = recovered.Recover(name, spec(), *start);
     ASSERT_TRUE(status.ok()) << status.ToString();
     EXPECT_EQ(SessionState(recovered, name), states[k]);
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// The session store: a store-backed service recovers with no server.
+// ---------------------------------------------------------------------------
+
+TrialResult Measured(const Trial& trial) {
+  TrialResult result;
+  result.trial_id = trial.id;
+  result.value = 100.0 + trial.config[0];
+  return result;
+}
+
+int64_t AutosavesOf(const TuningService& service) {
+  return service.store().autosaves_written();
+}
+
+TEST(SessionStoreTest, SecondServiceRecoversTheUninterruptedStateFromTheStore) {
+  const std::string dir = FreshWalDir();
+  std::string uninterrupted;
+  {
+    TuningService service(dir);
+    ASSERT_TRUE(service.CreateSession("solo", WalWorkloadSpec(), "hdr").ok());
+    ASSERT_TRUE(service.Step("solo").ok());
+    ASSERT_TRUE(service.Step("solo").ok());
+    service.PersistChanged();
+    // Past the autosave: only the WAL holds these rounds.
+    ASSERT_TRUE(service.Step("solo").ok());
+    Result<Trial> told = service.Ask("solo");
+    ASSERT_TRUE(told.ok());
+    ASSERT_TRUE(service.Tell("solo", Measured(*told)).ok());
+    ASSERT_TRUE(service.Ask("solo").ok());  // left pending
+    uninterrupted = SessionState(service, "solo");
+  }  // dropped without Close: both files stay
+
+  TuningService successor(dir);
+  Result<std::vector<std::string>> names = successor.store().List();
+  ASSERT_TRUE(names.ok());
+  EXPECT_EQ(*names, std::vector<std::string>{"solo"});
+  Result<service::SavedSession> saved = successor.store().Load("solo");
+  ASSERT_TRUE(saved.ok());
+  EXPECT_EQ(saved->header, "hdr");
+  ASSERT_TRUE(successor
+                  .Recover("solo", WalWorkloadSpec(), saved->checkpoint,
+                           saved->header)
+                  .ok());
+  EXPECT_EQ(SessionState(successor, "solo"), uninterrupted);
+}
+
+TEST(SessionStoreTest, OnlyAnAppendedRecordMakesThePersistWrite) {
+  const std::string dir = FreshWalDir();
+  TuningService service(dir);
+  ASSERT_TRUE(service.CreateSession("job", WalWorkloadSpec()).ok());
+  EXPECT_EQ(AutosavesOf(service), 1);  // written before the create replied
+  service.PersistChanged();
+  EXPECT_EQ(AutosavesOf(service), 1);
+
+  Result<Trial> trial = service.Ask("job");
+  ASSERT_TRUE(trial.ok());
+  service.PersistChanged();
+  EXPECT_EQ(AutosavesOf(service), 2);
+  // The pending trial's ask record stays in the log.
+  EXPECT_EQ(TrialWal::ReadRecords(WalPath(dir, "job"))->size(), 1u);
+
+  // Reads append nothing, so the next persist writes nothing.
+  ASSERT_TRUE(service.Checkpoint("job").ok());
+  ASSERT_TRUE(service.GetStatus("job").ok());
+  ASSERT_TRUE(service.GetPending("job").ok());
+  service.PersistChanged();
+  EXPECT_EQ(AutosavesOf(service), 2);
+
+  // One Tell: the next persist writes once and truncates the log.
+  ASSERT_TRUE(service.Tell("job", Measured(*trial)).ok());
+  service.PersistChanged();
+  service.PersistChanged();
+  EXPECT_EQ(AutosavesOf(service), 3);
+  EXPECT_TRUE(TrialWal::ReadRecords(WalPath(dir, "job"))->empty());
+
+  // A session recovered with nothing to replay is already persisted.
+  TuningService successor(dir);
+  Result<service::SavedSession> saved = successor.store().Load("job");
+  ASSERT_TRUE(saved.ok());
+  ASSERT_TRUE(
+      successor.Recover("job", WalWorkloadSpec(), saved->checkpoint).ok());
+  successor.PersistChanged();
+  EXPECT_EQ(AutosavesOf(successor), 0);
+}
+
+TEST(SessionStoreTest, CloseDeletesBothFilesAndEvictKeepsThem) {
+  const std::string dir = FreshWalDir();
+  const std::string autosave = dir + "/" + EncodeBytes("job") + ".autosave";
+  TuningService service(dir);
+  ASSERT_TRUE(service.CreateSession("job", WalWorkloadSpec()).ok());
+  ASSERT_TRUE(service.Step("job").ok());
+  ASSERT_TRUE(service.Evict("job").ok());
+  EXPECT_EQ(AutosavesOf(service), 2);
+  EXPECT_TRUE(ReadFile(autosave).ok());
+  EXPECT_TRUE(ReadFile(WalPath(dir, "job")).ok());
+  EXPECT_EQ(service.GetStatus("job").status().code(),
+            StatusCode::kSessionNotFound);
+
+  Result<service::SavedSession> saved = service.store().Load("job");
+  ASSERT_TRUE(saved.ok());
+  ASSERT_TRUE(
+      service.Recover("job", WalWorkloadSpec(), saved->checkpoint).ok());
+  EXPECT_EQ(service.GetStatus("job")->iterations_run, 0);  // the baseline
+  ASSERT_TRUE(service.Close("job").ok());
+  EXPECT_FALSE(ReadFile(autosave).ok());
+  EXPECT_FALSE(ReadFile(WalPath(dir, "job")).ok());
+  EXPECT_TRUE(service.store().List()->empty());
+}
+
+TEST(SessionStoreTest, AFailedAutosaveFailsTheCreateAndRegistersNothing) {
+  const std::string dir = FreshWalDir();
+  TuningService service(dir);
+  ASSERT_TRUE(FaultInjection::Configure("autosave.torn=p1"));
+  Status created = service.CreateSession("job", WalWorkloadSpec());
+  FaultInjection::Reset();
+  EXPECT_FALSE(created.ok());
+  EXPECT_EQ(service.session_count(), 0);
+  EXPECT_EQ(service.store().Load("job").status().code(),
+            StatusCode::kNotFound);
+  // The name is free again.
+  EXPECT_TRUE(service.CreateSession("job", WalWorkloadSpec()).ok());
+  // The header is one line of the autosave.
+  EXPECT_EQ(service.CreateSession("two", WalWorkloadSpec(), "a\nb").code(),
+            StatusCode::kInvalidArgument);
+
+  // A store whose directory is a regular file fails at once.
+  const std::string file = dir + "/not-a-dir";
+  ASSERT_TRUE(AtomicWriteFile(file, "x").ok());
+  TuningService broken(file);
+  EXPECT_FALSE(broken.CreateSession("job", WalWorkloadSpec()).ok());
+  EXPECT_EQ(broken.session_count(), 0);
+  EXPECT_FALSE(broken.store().List().ok());
 }
 
 }  // namespace
