@@ -17,11 +17,13 @@
 //                                        (speedup tracks min(cores, q))
 //   rf_fit_seconds[n=N]                  one RandomForest::Fit of SMAC's
 //                                        surrogate (d = 16, 10 trees)
-//   rf_score600_seconds[n=N]             Predict on 600 candidates with
-//                                        that forest
+//   rf_score600_seconds[n=N]             that forest scoring 600
+//                                        candidates in the blocks SMAC's
+//                                        ScoreCandidates uses, serially
 //
 // Usage: bm_hotpath [--max-n=N] (default 200; lower for smoke runs)
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -208,9 +210,10 @@ struct ForestTiming {
   double score_seconds = 0.0;  // median over repetitions
 };
 
-// Times one Fit on n points and one Predict pass over 600 candidates,
-// in the 16-dimensional space SMAC searches after projection. Forests
-// are single-threaded, so this is one core's cost.
+// Times one Fit on n points and one scoring pass over 600 candidates,
+// in the 16-dimensional space SMAC searches after projection. The pass
+// makes ScoreCandidates' PredictBatch calls, one block after another,
+// so this is one core's cost.
 ForestTiming TimeForest(int n) {
   constexpr int kCandidates = 600;
   constexpr int kReps = 30;
@@ -226,15 +229,18 @@ ForestTiming TimeForest(int n) {
   for (int c = 0; c < kCandidates; ++c) {
     candidates.push_back(DrawPoint(space, &rng));
   }
+  constexpr int kBlock = RandomForest::kBlockRows;
+  double means[kBlock], variances[kBlock];
   RandomForest forest(space, RandomForestOptions{}, 1);
   std::vector<double> fit_seconds, score_seconds;
   for (int rep = 0; rep < kReps; ++rep) {
     double t0 = NowSeconds();
     forest.Fit(xs, ys);
     double t1 = NowSeconds();
-    for (const auto& x : candidates) {
-      double mean = 0.0, variance = 0.0;
-      forest.Predict(x, &mean, &variance);
+    for (int begin = 0; begin < kCandidates; begin += kBlock) {
+      forest.PredictBatch(candidates.data() + begin,
+                          std::min(kBlock, kCandidates - begin), means,
+                          variances);
     }
     double t2 = NowSeconds();
     fit_seconds.push_back(t1 - t0);

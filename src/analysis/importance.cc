@@ -47,10 +47,12 @@ std::vector<KnobImportance> PermutationImportance(
   RandomForest forest(space, options, rng.NextSeed());
   forest.Fit(corpus.points, corpus.values);
 
+  std::vector<double> means(n), variances(n);
   auto mse = [&](const std::vector<std::vector<double>>& xs) {
+    forest.PredictBatch(xs.data(), n, means.data(), variances.data());
     double acc = 0.0;
     for (int i = 0; i < n; ++i) {
-      double err = forest.PredictMean(xs[i]) - corpus.values[i];
+      double err = means[i] - corpus.values[i];
       acc += err * err;
     }
     return acc / n;

@@ -31,22 +31,24 @@ std::vector<KnobImportance> ShapImportance(const ImportanceCorpus& corpus,
   std::vector<double> abs_phi(d, 0.0);
   int explained = std::min(options.num_explained_points, n);
   std::vector<int> chosen = rng.SampleWithoutReplacement(n, explained);
+  // One permutation's walk: row 0 is the baseline, and row k + 1
+  // switches the order's k-th feature from baseline to x.
+  std::vector<std::vector<double>> walk(d + 1);
+  std::vector<double> means(d + 1), variances(d + 1);
   for (int idx : chosen) {
     const std::vector<double>& x = corpus.points[idx];
     std::vector<double> phi(d, 0.0);
     for (int perm_i = 0; perm_i < options.num_permutations; ++perm_i) {
       std::vector<int> order = rng.Permutation(d);
-      // Walk the order, switching features from baseline to x; each
-      // switch's prediction delta is that feature's marginal
+      // Each switch's prediction delta is that feature's marginal
       // contribution under this order.
-      std::vector<double> current = baseline;
-      double prev = forest.PredictMean(current);
-      for (int j : order) {
-        current[j] = x[j];
-        double next = forest.PredictMean(current);
-        phi[j] += next - prev;
-        prev = next;
+      walk[0] = baseline;
+      for (int k = 0; k < d; ++k) {
+        walk[k + 1] = walk[k];
+        walk[k + 1][order[k]] = x[order[k]];
       }
+      forest.PredictBatch(walk.data(), d + 1, means.data(), variances.data());
+      for (int k = 0; k < d; ++k) phi[order[k]] += means[k + 1] - means[k];
     }
     for (int j = 0; j < d; ++j) {
       abs_phi[j] += std::abs(phi[j] / options.num_permutations);

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -34,8 +33,33 @@ struct RandomForestOptions {
 /// of per-tree leaf means, and the variance applies the law of total
 /// variance across trees (variance of leaf means + mean of leaf
 /// variances).
+///
+/// ## Layout and traversal
+///
+/// Fit writes each tree as one flat node array, the only form a tree
+/// has. A node holds its split value (threshold or category), its
+/// feature, its kind and its `left`/`right` children; a leaf is its own
+/// left and right child, and its mean and variance sit in an array
+/// parallel to the nodes. Each tree records its depth, the deepest
+/// leaf's.
+///
+/// Prediction steps every row exactly `depth` times with a branch-free
+/// select: a row that reaches its leaf early stays on it, so each row
+/// ends on the leaf a walk that stops at the first leaf would reach,
+/// NaN and infinite inputs included (both comparisons are false for
+/// NaN, which therefore goes right). The kernel walks one tree at a
+/// time over a group of 8 rows, so the 8 walks are independent load
+/// chains rather than one mispredicted chain. It then adds each leaf's
+/// mean, squared mean and variance to its row's sums in tree order,
+/// the order a one-row prediction adds them in; the sums, and so every
+/// bit of the result, do not depend on how many rows share a call.
 class RandomForest {
  public:
+  /// PredictBatch keeps the sums of this many rows at a time on the
+  /// stack; a caller that splits a pool into blocks uses it as the
+  /// block size.
+  static constexpr int kBlockRows = 64;
+
   RandomForest(const SearchSpace& space, RandomForestOptions options,
                uint64_t seed);
   ~RandomForest();
@@ -50,6 +74,12 @@ class RandomForest {
   void Predict(const std::vector<double>& x, double* mean,
                double* variance) const;
 
+  /// Predictive mean and variance of the `n` rows xs[0, n), into
+  /// means[0, n) and variances[0, n). Each row gets the bits Predict
+  /// gives it alone.
+  void PredictBatch(const std::vector<double>* xs, int n, double* means,
+                    double* variances) const;
+
   double PredictMean(const std::vector<double>& x) const;
 
   bool fitted() const { return fitted_; }
@@ -61,7 +91,7 @@ class RandomForest {
   SearchSpace space_;
   RandomForestOptions options_;
   Rng rng_;
-  std::vector<std::unique_ptr<Tree>> trees_;
+  std::vector<Tree> trees_;
   bool fitted_ = false;
 };
 

@@ -106,18 +106,25 @@ std::vector<std::vector<double>> SmacOptimizer::ScoreCandidates(
     }
   }
 
-  // Score by Expected Improvement. Forest lookups are pure tree
-  // traversals, so candidates score in parallel; consumers reduce the
-  // index-ordered scores, keeping every pick independent of the
-  // executor count.
+  // Score by Expected Improvement, in blocks of the forest's
+  // kBlockRows candidates: each block runs the forest's batch kernel,
+  // then EI. A candidate's score does not depend on its block, blocks
+  // run in parallel, and consumers reduce the index-ordered scores, so
+  // every pick is independent of the executor count.
+  constexpr int kBlock = RandomForest::kBlockRows;
   int num_candidates = static_cast<int>(candidates.size());
+  int num_blocks = (num_candidates + kBlock - 1) / kBlock;
   ei->assign(num_candidates, 0.0);
   ThreadPool::Global().ParallelFor(
-      num_candidates,
-      [&](int i) {
-        double mean = 0.0, variance = 0.0;
-        forest_.Predict(candidates[i], &mean, &variance);
-        (*ei)[i] = ExpectedImprovement(mean, variance, best);
+      num_blocks,
+      [&](int block) {
+        int begin = block * kBlock;
+        int count = std::min(kBlock, num_candidates - begin);
+        double means[kBlock], variances[kBlock];
+        forest_.PredictBatch(candidates.data() + begin, count, means,
+                             variances);
+        ExpectedImprovementInto(means, variances, count, best, /*xi=*/0.0,
+                                ei->data() + begin);
       },
       options_.num_threads);
   return candidates;

@@ -83,7 +83,9 @@ class SmacOptimizer : public Optimizer {
   std::vector<double> SuggestByModelDiverse(
       const std::vector<std::vector<double>>& taken, bool* forest_ready);
   /// Candidate pool + EI scores (shared by the single and batch
-  /// paths; parallel scoring, index-ordered results).
+  /// paths). Blocks of RandomForest::kBlockRows candidates score in
+  /// parallel, each one PredictBatch call then EI; results are
+  /// index-ordered.
   std::vector<std::vector<double>> ScoreCandidates(std::vector<double>* ei);
   std::vector<double> MutateNeighbor(const std::vector<double>& parent);
 

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <set>
+#include <vector>
 
+#include "src/core/knowledge_base.h"
+#include "src/dbsim/workloads.h"
+#include "src/harness/tuner.h"
 #include "src/optimizer/gp_bo.h"
 #include "src/optimizer/random_search.h"
 #include "src/optimizer/smac.h"
@@ -218,6 +223,56 @@ TEST_P(SmacBucketProperty, SuggestionsOnBucketGrid) {
 
 INSTANTIATE_TEST_SUITE_P(Ks, SmacBucketProperty,
                          ::testing::Values(3, 11, 101, 10000));
+
+// Golden pins of SMAC's trajectories: which candidates it picks, bit
+// for bit, through the forest, the candidate pool and EI.
+TEST(SmacGoldenTest, TpccLlamaTuneSessionIsPinned) {
+  Result<std::unique_ptr<harness::Tuner>> tuner =
+      harness::TunerBuilder()
+          .Workload(dbsim::TpcC())
+          .Optimizer("smac")
+          .Adapter("llamatune")
+          .Seed(13)
+          .Iterations(100)
+          .Build();
+  ASSERT_TRUE(tuner.ok());
+  SessionResult result = (*tuner)->Run();
+  ASSERT_EQ(result.kb.size(), 100);
+  std::vector<double> digest;
+  for (const IterationRecord& record : result.kb.records()) {
+    digest.insert(digest.end(), record.point.begin(), record.point.end());
+    digest.push_back(record.measured);
+    digest.push_back(record.objective);
+    digest.push_back(static_cast<double>(record.outcome));
+  }
+  uint64_t hash = HashDoubles(digest);
+  EXPECT_EQ(hash, 0xc02b53bef85cbd7eULL) << "hash=0x" << std::hex << hash;
+}
+
+// SuggestBatch(4) rounds on a mixed categorical and continuous space,
+// through SuggestByModelDiverse's shared fit and exclusion scan.
+TEST(SmacGoldenTest, MixedSpaceBatchRoundsArePinned) {
+  SearchSpace space({SearchDim::Categorical(4),
+                     SearchDim::Continuous(0.0, 1.0),
+                     SearchDim::Continuous(0.0, 10.0, 5),
+                     SearchDim::Continuous(-1.0, 1.0),
+                     SearchDim::Categorical(2),
+                     SearchDim::Continuous(0.0, 1.0)});
+  SmacOptimizer opt(space, {}, 29);
+  std::vector<double> digest;
+  for (int round = 0; round < 15; ++round) {
+    for (const std::vector<double>& p : opt.SuggestBatch(4)) {
+      double value = 3.0 * p[1] - 2.0 * p[1] * p[1] +
+                     (p[0] == 2.0 ? 1.5 : 0.0) + 0.3 * p[2] - p[3] * p[3] +
+                     p[4] * p[5];
+      opt.Observe(p, value);
+      digest.insert(digest.end(), p.begin(), p.end());
+      digest.push_back(value);
+    }
+  }
+  uint64_t hash = HashDoubles(digest);
+  EXPECT_EQ(hash, 0x6766728f0a7dd1f4ULL) << "hash=0x" << std::hex << hash;
+}
 
 }  // namespace
 }  // namespace llamatune

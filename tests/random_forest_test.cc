@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <limits>
 
 #include "src/common/rng.h"
 #include "src/model/random_forest.h"
@@ -261,6 +263,96 @@ TEST(RandomForestGoldenTest, MixedSpacePredictionsArePinned) {
         << "n=" << c.n << " bootstrap=" << c.bootstrap
         << " min_samples_leaf=" << c.min_samples_leaf << " hash=0x"
         << std::hex << hash;
+  }
+}
+
+// Values the probes below plant in single columns: NaN, both
+// infinities, every category, a non-category, the domain ends, and
+// 0.25 and the double just above it. Column 3 of the edge-case fits
+// holds only those last two, so each split on it draws a threshold from
+// Uniform(0.25, 0.25 + ulp), which rounds to one of the two, and probes
+// land exactly on a threshold.
+constexpr double kNextAfterQuarter = 0x1.0000000000001p-2;
+
+std::vector<double> EdgeProbe(Lcg* lcg) {
+  const double kPlanted[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             0.0, 1.0, 2.0, 3.0, 1.5, -1.0, 10.0,
+                             0.25, kNextAfterQuarter};
+  std::vector<double> probe = MixedPoint(lcg);
+  probe[3] = lcg->Below(2) == 0.0 ? 0.25 : kNextAfterQuarter;
+  for (double& value : probe) {
+    if (lcg->Below(3) == 0.0) {
+      value = kPlanted[static_cast<size_t>(lcg->Below(std::size(kPlanted)))];
+    }
+  }
+  return probe;
+}
+
+enum class EdgeFit {
+  kMixed,          // MixedPoint rows, column 3 on the two planted values
+  kIdenticalRows,  // every feature constant: one leaf per tree
+  kConstantY,      // every target equal
+};
+
+// Hash of the batch predictions of the first b of 600 edge probes, for
+// b in 1, 7, 8, 9, 63, 64, 65 and 600: the sizes around the kernel's
+// group of 8 rows and SMAC's block of 64.
+uint64_t EdgeForestHash(EdgeFit fit, int n, bool bootstrap, uint64_t seed) {
+  Lcg lcg(seed);
+  std::vector<std::vector<double>> xs;
+  std::vector<double> ys;
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> x = MixedPoint(&lcg);
+    x[3] = lcg.Below(2) == 0.0 ? 0.25 : kNextAfterQuarter;
+    if (fit == EdgeFit::kIdenticalRows && i > 0) x = xs[0];
+    double y = 2.0 * x[1] + (x[3] == 0.25 ? 1.0 : 0.0) +
+               (x[0] == 1.0 ? 0.75 : 0.0) + 0.1 * lcg.Unit();
+    if (fit == EdgeFit::kConstantY) y = 4.5;
+    xs.push_back(std::move(x));
+    ys.push_back(y);
+  }
+  RandomForestOptions options;
+  options.bootstrap = bootstrap;
+  RandomForest rf(MixedSpace(), options, seed);
+  rf.Fit(xs, ys);
+
+  std::vector<std::vector<double>> probes;
+  for (int p = 0; p < 600; ++p) {
+    probes.push_back(p % 5 == 0 ? xs[p % n] : EdgeProbe(&lcg));
+  }
+  std::vector<double> out;
+  for (int b : {1, 7, 8, 9, 63, 64, 65, 600}) {
+    std::vector<double> means(b), variances(b);
+    rf.PredictBatch(probes.data(), b, means.data(), variances.data());
+    out.insert(out.end(), means.begin(), means.end());
+    out.insert(out.end(), variances.begin(), variances.end());
+  }
+  return HashDoubles(out);
+}
+
+TEST(RandomForestGoldenTest, EdgeCaseBatchPredictionsArePinned) {
+  struct Case {
+    EdgeFit fit;
+    int n;
+    bool bootstrap;
+    uint64_t hash;
+  };
+  const Case kCases[] = {
+      {EdgeFit::kMixed, 40, true, 0xa15d09e1ba929963ULL},
+      {EdgeFit::kMixed, 150, false, 0x598d905b8484c5baULL},
+      // n = 1, and n = 2 below min_samples_split: one leaf per tree.
+      {EdgeFit::kMixed, 1, true, 0x882c31c82a405532ULL},
+      {EdgeFit::kMixed, 2, true, 0x8f3fc0c2a06d5058ULL},
+      {EdgeFit::kIdenticalRows, 30, true, 0x21df08a47bf2f96aULL},
+      {EdgeFit::kConstantY, 40, true, 0xa50589af270d6c16ULL},
+  };
+  uint64_t seed = 101;
+  for (const Case& c : kCases) {
+    uint64_t hash = EdgeForestHash(c.fit, c.n, c.bootstrap, seed++);
+    EXPECT_EQ(hash, c.hash) << "fit=" << static_cast<int>(c.fit)
+                            << " n=" << c.n << " hash=0x" << std::hex << hash;
   }
 }
 
