@@ -1,13 +1,10 @@
 #pragma once
 
-// Shared plumbing for the bench binaries: standard session settings
-// (paper §6.1: 100 iterations, first 10 LHS, 5 seeds), a
-// baseline-vs-LlamaTune pair runner, the fixed-seed batch-quality and
-// racing simulator grids, and the synthetic GP workload that bm_hotpath
-// and bm_largen time.
+// Shared plumbing for the bench binaries and the tests that pin their
+// grids: the fixed-seed batch-quality and racing simulator grids, and
+// the synthetic GP workload that bm_hotpath and bm_largen time.
 
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,45 +16,11 @@
 #include "src/core/tuning_session.h"
 #include "src/dbsim/simulated_postgres.h"
 #include "src/dbsim/workloads.h"
-#include "src/harness/experiment.h"
-#include "src/harness/report.h"
 #include "src/optimizer/optimizer_registry.h"
 #include "src/optimizer/search_space.h"
 
 namespace llamatune {
 namespace bench {
-
-inline harness::ExperimentSpec PaperSpec(const dbsim::WorkloadSpec& workload) {
-  harness::ExperimentSpec spec;
-  spec.workload = workload;
-  spec.num_iterations = 100;
-  spec.num_seeds = 5;
-  spec.base_seed = 42;
-  return spec;
-}
-
-struct PairResult {
-  harness::MultiSeedResult baseline;
-  harness::MultiSeedResult treatment;
-  harness::Comparison comparison;
-};
-
-/// Runs vanilla-optimizer baseline vs LlamaTune treatment on one
-/// workload (identical settings otherwise). Both cells go through the
-/// adapter registry: "identity" vs the "llamatune" pipeline alias.
-inline PairResult RunPair(harness::ExperimentSpec spec) {
-  PairResult out;
-  spec.adapter_key = "identity";
-  out.baseline = harness::RunExperiment(spec);
-  spec.adapter_key = "llamatune";
-  out.treatment = harness::RunExperiment(spec);
-  out.comparison = harness::Compare(out.baseline, out.treatment);
-  return out;
-}
-
-inline void PrintPaperNote(const char* experiment, const char* paper_result) {
-  std::printf("[%s] paper reference: %s\n", experiment, paper_result);
-}
 
 /// \name The fixed-seed batch-quality simulator grid
 ///

@@ -1,15 +1,16 @@
 #pragma once
 
 // The one result layout of the regression-tracked bench binaries
-// (bm_hotpath, bm_batch, bm_largen, bm_service, bm_racing):
+// (bm_hotpath, bm_batch, bm_largen, bm_service, bm_racing, bm_paper):
 //
 //   {"bench": "<name>", "config": {"<key>": <number or string>, ...},
 //    "hardware": {"cores": <ThreadPool::DefaultThreads()>},
 //    "metrics": [{"name": ..., "value": ..., "deterministic": ...}, ...],
 //    "info": {"<key>": <number>, ...}}
 //
-// scripts/check_bench_regression.py compares `metrics` (all lower is
-// better) against bench/baselines/ and never reads `info`. A metric
+// scripts/check_bench_regression.py compares `metrics` against
+// bench/baselines/ (a deterministic one must be bit-equal, a wall-clock
+// one is lower-is-better and advisory) and never reads `info`. A metric
 // name embeds the run configuration it depends on, e.g.
 // "sparse_evals_to_98pct[iters=64,seeds=5]"; an info key is the
 // number's path, with a table row's identity in brackets

@@ -68,11 +68,10 @@ Args ParseArgs(int argc, char** argv) {
 
 int Main(int argc, char** argv) {
   Args args = ParseArgs(argc, argv);
-  bench::PrintPaperNote(
-      "racing",
-      "successive halving / Hyperband-style racing screens many "
-      "configurations with short runs and spends full measurements on "
-      "survivors only");
+  std::printf(
+      "[racing] paper reference: successive halving / Hyperband-style "
+      "racing screens many configurations with short runs and spends full "
+      "measurements on survivors only\n");
 
   struct SeedRow {
     uint64_t seed = 0;

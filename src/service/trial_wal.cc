@@ -67,7 +67,7 @@ void TrialWal::Close() {
 }
 
 Result<std::vector<std::string>> TrialWal::ReadRecords(
-    const std::string& path, std::optional<size_t>* torn_at) {
+    const std::string& path, bool* torn) {
   std::vector<std::string> records;
   Result<std::string> read = ReadFile(path);
   if (!read.ok()) return records;  // no log: nothing to replay
@@ -76,7 +76,7 @@ Result<std::vector<std::string>> TrialWal::ReadRecords(
   while (pos < contents.size()) {
     size_t nl = contents.find('\n', pos);
     if (nl == std::string::npos) {  // torn tail: drop
-      if (torn_at != nullptr) *torn_at = pos;
+      if (torn != nullptr) *torn = true;
       break;
     }
     records.push_back(contents.substr(pos, nl - pos));

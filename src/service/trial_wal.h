@@ -1,6 +1,5 @@
 #pragma once
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -23,8 +22,10 @@ namespace service {
 /// acknowledged is durable. Not thread-safe: the owner serializes
 /// calls (the service holds the session lock).
 /// ReadRecords tolerates a torn tail: a final line without its
-/// newline (the append that was racing the crash) is ignored, and
-/// recovery cuts it from the file before its first append.
+/// newline (the append that was racing the crash) is ignored. Recovery
+/// cuts the log before its first append at the end of the last record
+/// replay consumed, which drops a torn tail and any records past a
+/// replay gap.
 ///
 /// The log is truncated by the autosave snapshot once a checkpoint
 /// covering every record has been persisted *and* the session has no
@@ -48,8 +49,8 @@ class TrialWal {
   Status Append(const std::string& record);
 
   /// Truncates the log to `size` bytes and fsyncs: to empty after an
-  /// autosave made it redundant, or to the end of the last complete
-  /// record when recovery found a torn tail.
+  /// autosave made it redundant, or to the end of the last record
+  /// replay consumed when recovery could not replay the whole file.
   Status Truncate(size_t size = 0);
 
   void Close();
@@ -57,11 +58,10 @@ class TrialWal {
 
   /// Reads every complete record from the log at `path`. A torn tail
   /// (final line with no newline) is dropped; when there is one and
-  /// `torn_at` is given, it receives the tail's offset, which is the
-  /// end of the last complete record. A missing file yields an empty
-  /// list.
+  /// `torn` is given, it is set to true. A missing file yields an
+  /// empty list.
   static Result<std::vector<std::string>> ReadRecords(
-      const std::string& path, std::optional<size_t>* torn_at = nullptr);
+      const std::string& path, bool* torn = nullptr);
 
  private:
   int fd_ = -1;

@@ -53,75 +53,75 @@ Result<std::unique_ptr<Tuner>> BuildTuner(const SessionSpec& spec) {
   return builder.BuildDetached();
 }
 
-/// Applies WAL records to a freshly restored tuner, stopping at the
-/// first record it cannot apply (cursor rules: docs/resilience.md).
-Status ReplayWal(Tuner& tuner, const std::vector<std::string>& records) {
-  for (const std::string& record : records) {
-    TokenReader in(record);
-    std::string_view op = in.Next();
-    if (op == "ask1" || op == "askb") {
-      int requested = 1;
-      if (op == "askb") in.Value(requested);
-      int64_t first_id = 0;
-      in.Value(first_id);
-      if (!in.ok()) break;
-      // Rounds commit whole, so the restored cursor always sits on a
-      // round boundary: an ask record is either entirely inside the
-      // checkpoint (skip), exactly at the cursor (re-issue the same
-      // deterministic draw), or past it (a gap from a lost append —
-      // nothing after it can be replayed either).
-      if (first_id < tuner.next_trial_id()) continue;
-      if (first_id > tuner.next_trial_id()) break;
-      if (op == "ask1") {
-        Result<Trial> trial = tuner.Ask();
-        if (!trial.ok()) return trial.status();
-        if (trial->id != first_id) {
-          return Status::Internal("wal replay: re-asked trial id " +
-                                  std::to_string(trial->id) + " != logged " +
-                                  std::to_string(first_id));
-        }
-      } else {
-        Result<std::vector<Trial>> trials = tuner.AskBatch(requested);
-        if (!trials.ok()) return trials.status();
-        if (trials->empty() || trials->front().id != first_id) {
-          return Status::Internal(
-              "wal replay: re-asked batch does not start at logged id " +
-              std::to_string(first_id));
-        }
-      }
-    } else if (op == "tell") {
-      std::string line;
-      in.Value(line);
-      if (!in.ok()) break;
-      Result<TrialResult> result = ParseTrialResult(line);
-      if (!result.ok()) break;
-      Status told = tuner.Tell(*result);
-      // AlreadyExists: the autosave checkpoint had committed this
-      // tell. TrialExpired: the trial expired and the checkpoint
-      // recorded the expiry. Both mean "already applied".
-      if (!told.ok() && told.code() != StatusCode::kAlreadyExists &&
-          told.code() != StatusCode::kTrialExpired) {
-        return told;
-      }
-    } else if (op == "expire") {
-      int64_t id = 0;
-      in.Value(id);
-      if (!in.ok()) break;
-      Status expired = tuner.Expire(id);
-      // AlreadyExists: the trial committed before this stale record.
-      if (!expired.ok() && expired.code() != StatusCode::kAlreadyExists) {
-        return expired;
-      }
-    } else if (op == "step") {
-      int64_t iters_before = 0;
-      in.Value(iters_before);
-      if (!in.ok()) break;
-      if (tuner.session().iterations_run() <= iters_before) tuner.Step();
-    } else {
-      break;  // unknown record: stop at the first thing we can't replay
+/// Applies one WAL record to a freshly restored tuner (cursor rules:
+/// docs/resilience.md). Returns false when it cannot: a gap, an
+/// unparsable or unknown record, or a failed re-issue.
+bool ReplayRecord(Tuner& tuner, const std::string& record) {
+  TokenReader in(record);
+  std::string_view op = in.Next();
+  if (op == "ask1" || op == "askb") {
+    int requested = 1;
+    if (op == "askb") in.Value(requested);
+    int64_t first_id = 0;
+    in.Value(first_id);
+    if (!in.ok()) return false;
+    // Rounds commit whole, so the restored cursor always sits on a
+    // round boundary: an ask record is either entirely inside the
+    // checkpoint (skip), exactly at the cursor (re-issue the same
+    // deterministic draw), or past it (a gap from a lost append —
+    // nothing after it can be replayed either).
+    if (first_id < tuner.next_trial_id()) return true;
+    if (first_id > tuner.next_trial_id()) return false;
+    // A re-issue that hands out other ids means the restoring stack is
+    // not the stack that logged.
+    if (op == "ask1") {
+      Result<Trial> trial = tuner.Ask();
+      return trial.ok() && trial->id == first_id;
     }
+    Result<std::vector<Trial>> trials = tuner.AskBatch(requested);
+    return trials.ok() && !trials->empty() && trials->front().id == first_id;
   }
-  return Status::OK();
+  if (op == "tell") {
+    std::string line;
+    in.Value(line);
+    if (!in.ok()) return false;
+    Result<TrialResult> result = ParseTrialResult(line);
+    if (!result.ok()) return false;
+    Status told = tuner.Tell(*result);
+    // AlreadyExists: the autosave checkpoint had committed this tell.
+    // TrialExpired: the trial expired and the checkpoint recorded the
+    // expiry. Both mean "already applied".
+    return told.ok() || told.code() == StatusCode::kAlreadyExists ||
+           told.code() == StatusCode::kTrialExpired;
+  }
+  if (op == "expire") {
+    int64_t id = 0;
+    in.Value(id);
+    if (!in.ok()) return false;
+    Status expired = tuner.Expire(id);
+    // AlreadyExists: the trial committed before this stale record.
+    return expired.ok() || expired.code() == StatusCode::kAlreadyExists;
+  }
+  if (op == "step") {
+    int64_t iters_before = 0;
+    in.Value(iters_before);
+    if (!in.ok()) return false;
+    if (tuner.session().iterations_run() <= iters_before) tuner.Step();
+    return true;
+  }
+  return false;  // unknown record
+}
+
+/// Replays `records` in order up to the first one that cannot be
+/// applied; nothing after it can be replayed either. Returns how many
+/// records it consumed, applied or skipped as covered by the
+/// checkpoint.
+size_t ReplayWal(Tuner& tuner, const std::vector<std::string>& records) {
+  size_t consumed = 0;
+  while (consumed < records.size() && ReplayRecord(tuner, records[consumed])) {
+    ++consumed;
+  }
+  return consumed;
 }
 
 }  // namespace
@@ -175,16 +175,25 @@ Status TuningService::Add(const std::string& name, const SessionSpec& spec,
   if (checkpoint != nullptr) {
     LT_RETURN_NOT_OK(entry.tuner->Restore(*checkpoint));
   }
-  std::optional<size_t> torn_at;
+  // The log's consumed prefix in bytes, and whether anything follows
+  // it: records replay stopped at, or a torn tail.
+  size_t consumed_bytes = 0;
+  bool cut = false;
   if (recover && store_.enabled()) {
+    bool torn = false;
     Result<std::vector<std::string>> records =
-        TrialWal::ReadRecords(store_.WalPath(name), &torn_at);
-    // A replay error leaves a valid prefix of the logged history (loss
-    // is at most the request in flight), so recovery still succeeds.
-    // With nothing to replay, the session is what its autosave holds.
+        TrialWal::ReadRecords(store_.WalPath(name), &torn);
+    // Replay that stops early leaves a valid prefix of the logged
+    // history (loss is at most the request in flight), so recovery
+    // still succeeds. With nothing to replay, the session is what its
+    // autosave holds.
     if (records.ok()) {
-      ReplayWal(*entry.tuner, *records).ok();
-      entry.changes = records->size() + (header_is_saved ? 0 : 1);
+      size_t consumed = ReplayWal(*entry.tuner, *records);
+      for (size_t i = 0; i < consumed; ++i) {
+        consumed_bytes += (*records)[i].size() + 1;
+      }
+      cut = torn || consumed < records->size();
+      entry.changes = consumed + (header_is_saved ? 0 : 1);
     }
   }
   {
@@ -203,11 +212,13 @@ Status TuningService::Add(const std::string& name, const SessionSpec& spec,
     // same-named one, and is recoverable once its autosave is durable.
     stored = entry.wal.Truncate();
     if (stored.ok()) stored = store_.Write(name, header, entry.tuner->Save());
-  } else if (stored.ok() && torn_at.has_value()) {
+  } else if (stored.ok() && cut) {
     // A recovered session keeps the tail it replayed (truncating it
-    // here would widen the window a crash can lose), but cuts a torn
-    // last record, so the next append starts a fresh line.
-    stored = entry.wal.Truncate(*torn_at);
+    // here would widen the window a crash can lose), but cuts what it
+    // could not: a torn last record would run into the next append,
+    // and records past a gap would stop every later replay ahead of
+    // the steps acknowledged from now on.
+    stored = entry.wal.Truncate(consumed_bytes);
   }
   if (!stored.ok()) Unregister(name, entry);
   return stored;

@@ -530,6 +530,36 @@ TEST_F(WalReplayTest, RecoveryCutsATornTailSoASecondCrashLosesNothing) {
   EXPECT_EQ(status->iterations_run, 3);
 }
 
+TEST_F(WalReplayTest, RecoveryCutsAGapSoASecondCrashLosesNothing) {
+  const std::string path = WalPath(dir_, "gapped");
+  const SessionSpec spec = WalWorkloadSpec();
+  std::string checkpoint;
+  {
+    TuningService service(dir_);
+    ASSERT_TRUE(service.CreateSession("gapped", spec).ok());
+    Result<std::string> start = service.Checkpoint("gapped");
+    ASSERT_TRUE(start.ok());
+    checkpoint = *start;
+    ASSERT_TRUE(service.Step("gapped").ok());
+    ASSERT_TRUE(service.Step("gapped").ok());
+  }
+  // An ask record above the cursor, as a lost append leaves: replay
+  // stops there.
+  std::ofstream(path, std::ios::app) << "ask1 99\n";
+  {
+    TuningService service(dir_);
+    ASSERT_TRUE(service.Recover("gapped", spec, checkpoint).ok());
+    // Both steps are acknowledged, so a second crash must keep them.
+    ASSERT_TRUE(service.Step("gapped").ok());
+    ASSERT_TRUE(service.Step("gapped").ok());
+  }
+  TuningService service(dir_);
+  ASSERT_TRUE(service.Recover("gapped", spec, checkpoint).ok());
+  Result<SessionStatus> status = service.GetStatus("gapped");
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status->iterations_run, 3);
+}
+
 // A racing session's WAL holds askb records: the baseline's, a rung
 // handed out in two parts, the next rung and the next race. Every
 // prefix recovers to the state after that many operations.
